@@ -11,7 +11,13 @@ namespace {
 
 std::vector<Group> cohort_groups(std::uint64_t seed) {
   std::vector<std::string> students;
-  for (int i = 0; i < 60; ++i) students.push_back("s" + std::to_string(i));
+  for (int i = 0; i < 60; ++i) {
+    // Appended, not `"s" + std::to_string(i)`: GCC 12 raises a false
+    // -Wrestrict on that operator+ in optimized builds.
+    std::string id = "s";
+    id += std::to_string(i);
+    students.push_back(std::move(id));
+  }
   auto groups = form_groups(students, 3);
   assign_preferences(groups, 10, seed);
   return groups;
@@ -48,7 +54,8 @@ int main(int argc, char** argv) {
         gs += ",";
         ranks += ",";
       }
-      gs += "G" + std::to_string(g);
+      gs += 'G';
+      gs += std::to_string(g);
       ranks += std::to_string(result.rank_received[g]);
     }
     alloc.row({topics[t].title, topics[t].android_option ? "yes" : "no", gs,

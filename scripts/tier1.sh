@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the plain build + full ctest pass that every PR must keep
-# green, plus a ThreadSanitizer pass over the concurrency-bearing suites
+# green, the same suite built Release (optimized builds raise warnings the
+# default RelWithDebInfo build does not, and PARC_WERROR makes them errors),
+# plus a ThreadSanitizer pass over the concurrency-bearing suites
 # (scheduler, ptask runtime, conc collections, net pool, serving stack,
 # flow channels) —
 # the code where a data race is a correctness bug, not a flake — and an
@@ -34,6 +36,11 @@ echo "== tier-1: plain build + full ctest =="
 cmake -B "${PREFIX}" -S . >/dev/null
 cmake --build "${PREFIX}" -j"$(nproc)"
 ctest --test-dir "${PREFIX}" --output-on-failure -j2
+
+echo "== tier-1: Release build + full ctest =="
+cmake -B "${PREFIX}-release" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "${PREFIX}-release" -j"$(nproc)"
+ctest --test-dir "${PREFIX}-release" --output-on-failure -j2
 
 echo "== tier-1: ThreadSanitizer (sched / ptask / conc suites) =="
 TSAN_SUITES=(

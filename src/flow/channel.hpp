@@ -5,9 +5,10 @@
 //
 //  - SPSC fast path (`ChannelOptions::spsc`): a Lamport ring — producer owns
 //    `tail`, consumer owns `head`, each side caches the other's index so the
-//    steady state is one release store per op and *zero* shared RMWs on the
-//    ring itself. For single-producer/single-consumer edges (pipeline
-//    stages, the serve ingress thread feeding itself).
+//    steady state is one release store per op and *zero* lock-prefixed RMWs:
+//    `pushed_` is producer-owned and `popped_` consumer-owned, each bumped
+//    with a plain relaxed load+store. For single-producer/single-consumer
+//    edges (pipeline stages, the serve ingress thread feeding itself).
 //  - MPMC striped variant: `stripes` independent Vyukov per-slot-sequence
 //    subrings (the conc::MpmcRing protocol); each thread starts its sweep at
 //    a thread-affine stripe, so concurrent producers/consumers mostly CAS on
@@ -26,14 +27,26 @@
 //  - everything else spins `sched::detail::kWaiterSpins` and then parks on
 //    an epoch word with std::atomic::wait, exactly like Completion::wait.
 //
-// Wakeup protocol (the Sequencer::advance idiom): every successful pop bumps
-// `not_full_epoch_` (release RMW) and notifies; every successful push bumps
-// `not_empty_epoch_` and notifies. A waiter snapshots the epoch, re-checks
-// the ring, and only then waits on the snapshot — any op that completed
-// after the snapshot already changed the word, so the wait falls through
-// (std::atomic::wait re-checks the value; the missed-wakeup Dekker handshake
-// lives inside the stdlib waiter table, the same place Completion trusts).
-// Parked-waiter counters are statistics, not correctness.
+// Wakeup protocol (waiter-counted, like Completion::complete and the pool's
+// `sleepers` handshake): each edge has an epoch word and a parked-waiter
+// count (`not_empty_*` for consumers, `not_full_*` for producers).
+//
+//  - A parker increments the edge's waiter count (seq_cst) and issues a
+//    StoreLoad barrier *before* it snapshots the epoch and re-checks the
+//    ring; it decrements the count once it stops waiting.
+//  - A successful push publishes its slot, issues a StoreLoad barrier and
+//    reads `not_empty_waiters_`; only if it is non-zero does it bump
+//    `not_empty_epoch_` and notify_all. Pops do the same on the other edge.
+//
+// This is a Dekker handshake: either the publisher's waiter read sees the
+// parker (→ it bumps and notifies), or the parker's re-check sees the
+// published slot (→ it never waits). A parker that snapshotted the epoch
+// before a bump falls through std::atomic::wait, which re-checks the value.
+// Gating matters because libstdc++ keys its waiter table by
+// `(addr >> 2) % 16`, so every cache-line-aligned epoch shares bucket 0: an
+// unconditional notify_all took a FUTEX_WAKE syscall on every op whenever
+// *any* channel in the process had a parked waiter. close()/poison() and
+// discard_all() still bump and notify unconditionally.
 //
 // close()/poison():
 //  - close() is the graceful end-of-stream: pushes are rejected, consumers
@@ -50,6 +63,7 @@
 // at quiescence, pushed == popped + dropped, exactly.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -62,6 +76,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "sched/chase_lev_deque.hpp"  // detail::kTsanBuild
 #include "sched/completion.hpp"
 #include "sched/thread_pool.hpp"
 #include "support/backoff.hpp"
@@ -74,7 +89,9 @@ enum class PopResult : std::uint8_t { ok, empty, closed };
 
 struct ChannelOptions {
   /// Ring capacity; rounded up to a power of two (per stripe for MPMC, so
-  /// the usable total is stripes * ceil_pow2(capacity / stripes)).
+  /// the usable total is stripes * ceil_pow2(capacity / stripes), with at
+  /// least 2 slots per stripe: the per-slot sequence protocol cannot tell a
+  /// full one-slot ring from an empty one).
   std::size_t capacity = 256;
   /// MPMC subring count; ignored for SPSC. More stripes spread producer
   /// CAS traffic at the cost of weaker cross-stripe FIFO order.
@@ -99,7 +116,12 @@ struct ChannelStats {
   std::uint64_t consumer_helps = 0;
   std::uint64_t producer_blocked_ns = 0;  ///< wall time spent full-blocked
   std::uint64_t consumer_blocked_ns = 0;  ///< wall time spent empty-blocked
-  std::uint64_t high_water = 0;  ///< max occupancy ever observed by a push
+  /// Max occupancy observed by a push, never above capacity. MPMC: from the
+  /// counters on every push. SPSC: from the ring indices each time the
+  /// producer re-reads the consumer's head — when its cached view looks
+  /// full and on every 64th push — so a fast consumer shows a low mark;
+  /// stats() also folds in the current occupancy.
+  std::uint64_t high_water = 0;
   std::size_t occupancy = 0;
   std::size_t capacity = 0;
   bool closed = false;
@@ -146,7 +168,8 @@ class Channel {
       capacity_ = cap;
     } else {
       const std::size_t n = opts.stripes == 0 ? 1 : opts.stripes;
-      const std::size_t per = detail::ceil_pow2((opts.capacity + n - 1) / n);
+      const std::size_t per = detail::ceil_pow2(
+          std::max<std::size_t>(2, (opts.capacity + n - 1) / n));
       stripes_.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
         stripes_.push_back(std::make_unique<Stripe>(per));
@@ -306,10 +329,7 @@ class Channel {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       ++n;
     }
-    if (n != 0) {
-      not_full_epoch_.fetch_add(1, std::memory_order_release);
-      not_full_epoch_.notify_all();
-    }
+    if (n != 0) wake(not_full_epoch_);
     return n;
   }
 
@@ -326,10 +346,8 @@ class Channel {
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
   [[nodiscard]] std::size_t occupancy() const noexcept {
-    const std::uint64_t in = pushed_.load(std::memory_order_relaxed);
-    const std::uint64_t gone = popped_.load(std::memory_order_relaxed) +
-                               dropped_.load(std::memory_order_relaxed);
-    return in > gone ? static_cast<std::size_t>(in - gone) : 0;
+    return static_cast<std::size_t>(
+        clamped_occupancy(pushed_.load(std::memory_order_relaxed)));
   }
 
   [[nodiscard]] ChannelStats stats() const {
@@ -347,8 +365,9 @@ class Channel {
         producer_blocked_ns_.load(std::memory_order_relaxed);
     s.consumer_blocked_ns =
         consumer_blocked_ns_.load(std::memory_order_relaxed);
-    s.high_water = high_water_.load(std::memory_order_relaxed);
     s.occupancy = occupancy();
+    s.high_water = std::max<std::uint64_t>(
+        high_water_.load(std::memory_order_relaxed), s.occupancy);
     s.capacity = capacity_;
     s.closed = closed();
     s.poisoned = poisoned();
@@ -419,8 +438,12 @@ class Channel {
   bool ring_try_push(T& v) {
     if (spsc_) {
       const std::size_t t = tail_.load(std::memory_order_relaxed);
-      if (t - head_cache_ > mask_) {
+      if (t - head_cache_ > mask_ || (t & kHeadSampleMask) == 0) {
         head_cache_ = head_.load(std::memory_order_acquire);
+        // The only point where the producer sees the true head: sample the
+        // occupancy this push leaves (capacity when the ring is full).
+        raise_high_water(std::min<std::uint64_t>(t - head_cache_ + 1,
+                                                 capacity_));
         if (t - head_cache_ > mask_) return false;
       }
       slots_[t & mask_] = std::move(v);
@@ -454,27 +477,82 @@ class Channel {
     return false;
   }
 
-  void after_push() noexcept {
-    const std::uint64_t in =
-        pushed_.fetch_add(1, std::memory_order_relaxed) + 1;
+  /// Counter-derived occupancy for `in` pushes, clamped to [0, capacity]:
+  /// each side bumps its counter after its ring op, so the raw difference
+  /// can be off by the ops in flight.
+  [[nodiscard]] std::uint64_t clamped_occupancy(
+      std::uint64_t in) const noexcept {
     const std::uint64_t gone = popped_.load(std::memory_order_relaxed) +
                                dropped_.load(std::memory_order_relaxed);
-    const std::uint64_t occ = in > gone ? in - gone : 0;
+    return in > gone ? std::min<std::uint64_t>(in - gone, capacity_) : 0;
+  }
+
+  void raise_high_water(std::uint64_t occ) noexcept {
     std::uint64_t hw = high_water_.load(std::memory_order_relaxed);
     while (occ > hw && !high_water_.compare_exchange_weak(
                            hw, occ, std::memory_order_relaxed)) {
     }
-    not_empty_epoch_.fetch_add(1, std::memory_order_release);
-    not_empty_epoch_.notify_all();
+  }
+
+  /// Bump a counter only its owning side writes: a plain load+store, no
+  /// lock-prefixed RMW (readers tolerate a stale value).
+  static void bump_owned(std::atomic<std::uint64_t>& c) noexcept {
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+
+  /// Publisher half of the wakeup handshake, called after the ring op has
+  /// published: StoreLoad barrier, then wake the edge only if a waiter has
+  /// registered. Under TSan (which does not model fences, and which GCC's
+  /// -Wtsan rejects) the barrier is a seq_cst RMW on the waiter count, the
+  /// same location the parker increments.
+  static void wake_if_parked(std::atomic<std::uint32_t>& waiters,
+                             std::atomic<std::uint32_t>& epoch) noexcept {
+    std::uint32_t parked;
+    if constexpr (sched::detail::kTsanBuild) {
+      parked = waiters.fetch_add(0, std::memory_order_seq_cst);
+    } else {
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      parked = waiters.load(std::memory_order_relaxed);
+    }
+    if (parked != 0) wake(epoch);
+  }
+
+  static void wake(std::atomic<std::uint32_t>& epoch) noexcept {
+    epoch.fetch_add(1, std::memory_order_release);
+    epoch.notify_all();
+  }
+
+  /// Parker half: register before the epoch snapshot and ring re-check.
+  /// The fence pairs with the publisher's: the re-check's loads are only
+  /// acquire, so the increment alone would not order them after it. Under
+  /// TSan both sides RMW the same word, whose modification order suffices.
+  static void register_waiter(std::atomic<std::uint32_t>& waiters) noexcept {
+    waiters.fetch_add(1, std::memory_order_seq_cst);
+    if constexpr (!sched::detail::kTsanBuild) {
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+    }
+  }
+
+  void after_push() noexcept {
+    if (spsc_) {
+      bump_owned(pushed_);
+    } else {
+      raise_high_water(clamped_occupancy(
+          pushed_.fetch_add(1, std::memory_order_relaxed) + 1));
+    }
+    wake_if_parked(not_empty_waiters_, not_empty_epoch_);
     if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kChanPush, id_, occ);
+      obs::emit(obs::EventKind::kChanPush, id_, occupancy());
     }
   }
 
   void after_pop() noexcept {
-    popped_.fetch_add(1, std::memory_order_relaxed);
-    not_full_epoch_.fetch_add(1, std::memory_order_release);
-    not_full_epoch_.notify_all();
+    if (spsc_) {
+      bump_owned(popped_);
+    } else {
+      popped_.fetch_add(1, std::memory_order_relaxed);
+    }
+    wake_if_parked(not_full_waiters_, not_full_epoch_);
     if (obs::tracing()) [[unlikely]] {
       obs::emit(obs::EventKind::kChanPop, id_, occupancy());
     }
@@ -500,20 +578,24 @@ class Channel {
         ExponentialBackoff::cpu_relax();
         r = try_push(v);
       }
-      while (r == PushResult::full) {
-        const std::uint32_t e =
-            not_full_epoch_.load(std::memory_order_acquire);
-        r = try_push(v);
-        if (r != PushResult::full) break;
-        producer_parks_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::tracing()) [[unlikely]] {
-          obs::emit(obs::EventKind::kWaiterPark, id_, 0);
+      if (r == PushResult::full) {
+        register_waiter(not_full_waiters_);
+        while (r == PushResult::full) {
+          const std::uint32_t e =
+              not_full_epoch_.load(std::memory_order_acquire);
+          r = try_push(v);
+          if (r != PushResult::full) break;
+          producer_parks_.fetch_add(1, std::memory_order_relaxed);
+          if (obs::tracing()) [[unlikely]] {
+            obs::emit(obs::EventKind::kWaiterPark, id_, 0);
+          }
+          not_full_epoch_.wait(e, std::memory_order_acquire);
+          if (obs::tracing()) [[unlikely]] {
+            obs::emit(obs::EventKind::kWaiterWake, id_, 0);
+          }
+          r = try_push(v);
         }
-        not_full_epoch_.wait(e, std::memory_order_acquire);
-        if (obs::tracing()) [[unlikely]] {
-          obs::emit(obs::EventKind::kWaiterWake, id_, 0);
-        }
-        r = try_push(v);
+        not_full_waiters_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
     producer_blocked_ns_.fetch_add(
@@ -543,20 +625,24 @@ class Channel {
         ExponentialBackoff::cpu_relax();
         r = try_pop(out);
       }
-      while (r == PopResult::empty) {
-        const std::uint32_t e =
-            not_empty_epoch_.load(std::memory_order_acquire);
-        r = try_pop(out);
-        if (r != PopResult::empty) break;
-        consumer_parks_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::tracing()) [[unlikely]] {
-          obs::emit(obs::EventKind::kWaiterPark, id_, 1);
+      if (r == PopResult::empty) {
+        register_waiter(not_empty_waiters_);
+        while (r == PopResult::empty) {
+          const std::uint32_t e =
+              not_empty_epoch_.load(std::memory_order_acquire);
+          r = try_pop(out);
+          if (r != PopResult::empty) break;
+          consumer_parks_.fetch_add(1, std::memory_order_relaxed);
+          if (obs::tracing()) [[unlikely]] {
+            obs::emit(obs::EventKind::kWaiterPark, id_, 1);
+          }
+          not_empty_epoch_.wait(e, std::memory_order_acquire);
+          if (obs::tracing()) [[unlikely]] {
+            obs::emit(obs::EventKind::kWaiterWake, id_, 1);
+          }
+          r = try_pop(out);
         }
-        not_empty_epoch_.wait(e, std::memory_order_acquire);
-        if (obs::tracing()) [[unlikely]] {
-          obs::emit(obs::EventKind::kWaiterWake, id_, 1);
-        }
-        r = try_pop(out);
+        not_empty_waiters_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
     consumer_blocked_ns_.fetch_add(
@@ -570,10 +656,8 @@ class Channel {
     const bool was = closed_.exchange(true, std::memory_order_acq_rel);
     // Wake both edges even when already closed: poison-after-close must
     // still kick parked consumers into their drain-and-exit path.
-    not_full_epoch_.fetch_add(1, std::memory_order_release);
-    not_full_epoch_.notify_all();
-    not_empty_epoch_.fetch_add(1, std::memory_order_release);
-    not_empty_epoch_.notify_all();
+    wake(not_full_epoch_);
+    wake(not_empty_epoch_);
     if (!was && obs::tracing()) [[unlikely]] {
       obs::emit(obs::EventKind::kChanClosed, id_, poison ? 1 : 0);
     }
@@ -583,31 +667,42 @@ class Channel {
   const std::uint64_t id_;
   std::size_t capacity_ = 0;
 
-  // SPSC ring (unused when striped). Producer side: tail_ + its cached view
-  // of head_; consumer side: head_ + cached tail_. The caches are plain
-  // fields written only by their own side.
+  /// SPSC producers also re-read the consumer's head (and sample the high
+  /// water) on every push whose tail index has these bits clear.
+  static constexpr std::size_t kHeadSampleMask = 63;
+
+  // One cache line per writer. Producer line: tail_, its cached view of
+  // head_, pushed_ and (SPSC) high_water_; consumer line: head_, cached
+  // tail_, popped_, dropped_. The caches are plain fields written only by
+  // their own side; MPMC producers share their line through fetch_add.
   std::vector<T> slots_;
   std::size_t mask_ = 0;
   alignas(kCacheLineSize) std::atomic<std::size_t> tail_{0};
   std::size_t head_cache_ = 0;
+  std::atomic<std::uint64_t> pushed_{0};
+  std::atomic<std::uint64_t> high_water_{0};
   alignas(kCacheLineSize) std::atomic<std::size_t> head_{0};
   std::size_t tail_cache_ = 0;
+  std::atomic<std::uint64_t> popped_{0};
+  std::atomic<std::uint64_t> dropped_{0};
 
   // MPMC stripes (unused when spsc).
   std::vector<std::unique_ptr<Stripe>> stripes_;
 
-  // Park/wake epochs (Sequencer::advance idiom) + lifecycle flags.
-  alignas(kCacheLineSize) std::atomic<std::uint32_t> not_full_epoch_{0};
-  alignas(kCacheLineSize) std::atomic<std::uint32_t> not_empty_epoch_{0};
-  std::atomic<bool> closed_{false};
+  // Lifecycle flags: read on every op, written once — kept off both
+  // writers' lines so they stay shared in every cache.
+  alignas(kCacheLineSize) std::atomic<bool> closed_{false};
   std::atomic<bool> poisoned_{false};
 
-  // Counters. pushed_ is producer-side, popped_/dropped_ consumer-side.
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> pushed_{0};
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> popped_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> high_water_{0};
-  std::atomic<std::uint64_t> producer_blocks_{0};
+  // Park/wake edges: epoch + parked-waiter count. Publishers only read the
+  // count; parkers write it, so the line stays shared while nobody parks.
+  alignas(kCacheLineSize) std::atomic<std::uint32_t> not_full_epoch_{0};
+  std::atomic<std::uint32_t> not_full_waiters_{0};
+  alignas(kCacheLineSize) std::atomic<std::uint32_t> not_empty_epoch_{0};
+  std::atomic<std::uint32_t> not_empty_waiters_{0};
+
+  // Slow-path counters (blocked ops only).
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> producer_blocks_{0};
   std::atomic<std::uint64_t> consumer_blocks_{0};
   std::atomic<std::uint64_t> producer_parks_{0};
   std::atomic<std::uint64_t> consumer_parks_{0};

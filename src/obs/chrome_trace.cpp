@@ -439,7 +439,7 @@ class JsonParser {
 const std::unordered_map<std::string, EventKind>& kind_by_triple() {
   static const auto* map = [] {
     auto* m = new std::unordered_map<std::string, EventKind>;
-    for (int k = 0; k <= static_cast<int>(EventKind::kChanClosed); ++k) {
+    for (int k = 0; k <= static_cast<int>(EventKind::kLastKind); ++k) {
       const auto kind = static_cast<EventKind>(k);
       const KindInfo info = kind_info(kind);
       m->emplace(std::string(info.ph) + '\x1f' + info.name + '\x1f' + info.cat,

@@ -114,6 +114,9 @@ enum class EventKind : std::uint8_t {
                   ///< verdict failed (backoff doubled, re-ejected)
   kDeadlineShed,  ///< id = request id, arg = priority — expired or refused
                   ///< by the priority/deadline admission ladder
+  // Keep last: an alias of the final kind above, so loops over every kind
+  // (0..kLastKind) see a new one. Add new kinds above and re-point it.
+  kLastKind = kDeadlineShed,
 };
 
 /// Fixed-slot trace record: 32 bytes, written once, never reused.

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 
 namespace parc::course {
 namespace {
@@ -200,7 +202,13 @@ TEST(Allocation, PaperTopicListHasTenEntries) {
 
 TEST(Allocation, FormGroupsOfThree) {
   std::vector<std::string> students;
-  for (int i = 0; i < 60; ++i) students.push_back("s" + std::to_string(i));
+  for (int i = 0; i < 60; ++i) {
+    // Appended, not `"s" + std::to_string(i)`: GCC 12 raises a false
+    // -Wrestrict on that operator+ in optimized builds.
+    std::string id = "s";
+    id += std::to_string(i);
+    students.push_back(std::move(id));
+  }
   const auto groups = form_groups(students, 3);
   EXPECT_EQ(groups.size(), 20u);
   for (const auto& g : groups) EXPECT_EQ(g.members.size(), 3u);

@@ -9,13 +9,20 @@
 //    including under concurrent poison and under stage errors;
 //  - the compile-time fusion rule (bare .then fuses, stage()/flush() forces
 //    a boundary), asserted through Pipeline::stage_count();
-//  - a randomized multi-stage pipeline matches the sequential oracle.
+//  - a randomized multi-stage pipeline matches the sequential oracle;
+//  - the waiter-gated wakeup never loses a wakeup: capacity-1/2 channels
+//    hammered by plain threads that park on both edges finish under a
+//    watchdog, and close()/poison() wake a parked waiter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -302,6 +309,200 @@ TEST(FlowChannel, ConcurrentPoisonConservesPushedEqualsPoppedPlusDropped) {
   EXPECT_EQ(s.pushed, produced.load());
   EXPECT_EQ(s.popped, consumed.load());
   expect_conserved(s);
+}
+
+TEST(FlowChannel, MpmcHighWaterNeverExceedsCapacity) {
+  Channel<int> ch(ChannelOptions{.capacity = 2});
+  ASSERT_EQ(ch.capacity(), 2u);
+  constexpr int kItems = 200000;
+  std::thread producer([&] {
+    for (int i = 0; i < kItems; ++i) {
+      int v = i;
+      while (ch.try_push(v) != PushResult::ok) std::this_thread::yield();
+    }
+  });
+  std::thread consumer([&] {
+    int v;
+    for (int i = 0; i < kItems; ++i) {
+      while (ch.try_pop(v) != PopResult::ok) std::this_thread::yield();
+    }
+  });
+  producer.join();
+  consumer.join();
+  const ChannelStats s = ch.stats();
+  EXPECT_EQ(s.pushed, static_cast<std::uint64_t>(kItems));
+  EXPECT_GE(s.high_water, 1u);
+  EXPECT_LE(s.high_water, s.capacity);
+  expect_conserved(s);
+}
+
+TEST(FlowChannel, MpmcCapacityOneRoundsUpToTwoSlots) {
+  Channel<int> ch(ChannelOptions{.capacity = 1});
+  EXPECT_EQ(ch.capacity(), 2u);
+  int a = 1, b = 2, c = 3;
+  EXPECT_EQ(ch.try_push(a), PushResult::ok);
+  EXPECT_EQ(ch.try_push(b), PushResult::ok);
+  EXPECT_EQ(ch.try_push(c), PushResult::full) << "no slot may be overwritten";
+  int out = -1;
+  ASSERT_EQ(ch.try_pop(out), PopResult::ok);
+  EXPECT_EQ(out, 1);
+  ASSERT_EQ(ch.try_pop(out), PopResult::ok);
+  EXPECT_EQ(out, 2);
+  EXPECT_EQ(ch.try_pop(out), PopResult::empty);
+}
+
+// ---------------------------------------------------------------------------
+// Wakeup handshake: only parked waiters are woken, and none is ever lost.
+// ---------------------------------------------------------------------------
+
+/// Fails a test instead of hanging ctest when a wakeup is lost: if not
+/// disarmed within `limit`, it poisons the channel (whose unconditional
+/// wake frees every parked waiter) and, should that not free them, aborts.
+template <typename T>
+class Watchdog {
+ public:
+  Watchdog(Channel<T>& ch, std::chrono::seconds limit)
+      : thread_([this, &ch, limit] {
+          std::unique_lock lock(mu_);
+          if (cv_.wait_for(lock, limit, [&] { return disarmed_; })) return;
+          fired_ = true;
+          ch.poison();
+          if (!cv_.wait_for(lock, 10s, [&] { return disarmed_; })) {
+            std::fprintf(stderr, "watchdog: waiters still parked after poison\n");
+            std::abort();
+          }
+        }) {}
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+  ~Watchdog() {
+    disarm();
+    thread_.join();
+  }
+
+  void disarm() {
+    {
+      std::scoped_lock lock(mu_);
+      disarmed_ = true;
+    }
+    cv_.notify_all();
+  }
+  [[nodiscard]] bool fired() {
+    std::scoped_lock lock(mu_);
+    return fired_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool disarmed_ = false;
+  bool fired_ = false;
+  std::thread thread_;  // last: starts once the fields above exist
+};
+
+/// Plain (non-pool) producer and consumer stream `kItems` through `ch`,
+/// each pausing now and then so the other side spins out and parks. The
+/// pauses make both gated wake paths run; the FIFO check catches a slot
+/// handed over twice.
+void stress_park_both_edges(Channel<int>& ch) {
+  constexpr int kItems = 20000, kPauseEvery = 1000;
+  Watchdog<int> dog(ch, 30s);
+  std::atomic<int> order_errors{0};
+  std::atomic<int> received{0};
+  std::thread producer([&] {
+    for (int i = 0; i < kItems; ++i) {
+      if (i % kPauseEvery == kPauseEvery / 2) std::this_thread::sleep_for(1ms);
+      if (!ch.push(i)) return;
+    }
+    ch.close();
+  });
+  std::thread consumer([&] {
+    int v;
+    for (int expect = 0; ch.pop(v); ++expect) {
+      if (v != expect) order_errors.fetch_add(1);
+      if (expect % kPauseEvery == 0) std::this_thread::sleep_for(1ms);
+      received.fetch_add(1);
+    }
+  });
+  producer.join();
+  consumer.join();
+  dog.disarm();
+  EXPECT_FALSE(dog.fired()) << "lost wakeup: threads stuck for 30 s";
+  EXPECT_EQ(received.load(), kItems);
+  EXPECT_EQ(order_errors.load(), 0);
+  const ChannelStats s = ch.stats();
+  EXPECT_GT(s.producer_parks, 0u) << "the not-full wake path must run";
+  EXPECT_GT(s.consumer_parks, 0u) << "the not-empty wake path must run";
+  EXPECT_LE(s.high_water, s.capacity);
+  expect_conserved(s);
+}
+
+TEST(FlowChannel, SpscCapacityOneNeverLosesAWakeup) {
+  Channel<int> ch(ChannelOptions{.capacity = 1, .spsc = true});
+  stress_park_both_edges(ch);
+}
+
+TEST(FlowChannel, SpscCapacityTwoNeverLosesAWakeup) {
+  Channel<int> ch(ChannelOptions{.capacity = 2, .spsc = true});
+  stress_park_both_edges(ch);
+}
+
+TEST(FlowChannel, MpmcCapacityOneNeverLosesAWakeup) {
+  Channel<int> ch(ChannelOptions{.capacity = 1});
+  stress_park_both_edges(ch);
+}
+
+TEST(FlowChannel, MpmcCapacityTwoNeverLosesAWakeup) {
+  Channel<int> ch(ChannelOptions{.capacity = 2});
+  stress_park_both_edges(ch);
+}
+
+/// Blocks `waiter` on `ch`, waits until it has parked, then runs `release`
+/// from this thread; the waiter must wake and report `false`.
+void expect_lifecycle_wakes_parked(Channel<int>& ch, bool consumer_side,
+                                   void (Channel<int>::*release)()) {
+  Watchdog<int> dog(ch, 30s);
+  std::atomic<bool> returned{false};
+  bool result = true;
+  std::thread waiter([&] {
+    int v = 0;
+    result = consumer_side ? ch.pop(v) : ch.push(v);
+    returned.store(true);
+  });
+  const auto parks = [&] {
+    const ChannelStats s = ch.stats();
+    return consumer_side ? s.consumer_parks : s.producer_parks;
+  };
+  while (parks() == 0) std::this_thread::sleep_for(1ms);
+  std::this_thread::sleep_for(5ms);  // let it reach the futex
+  EXPECT_FALSE(returned.load());
+  (ch.*release)();
+  waiter.join();
+  dog.disarm();
+  EXPECT_FALSE(dog.fired()) << "lifecycle call did not wake the parked waiter";
+  EXPECT_FALSE(result);
+}
+
+TEST(FlowChannel, CloseWakesParkedConsumer) {
+  for (const bool spsc : {true, false}) {
+    Channel<int> ch(ChannelOptions{.capacity = 2, .spsc = spsc});
+    expect_lifecycle_wakes_parked(ch, /*consumer_side=*/true,
+                                  &Channel<int>::close);
+  }
+}
+
+TEST(FlowChannel, PoisonWakesParkedConsumerAndProducer) {
+  for (const bool spsc : {true, false}) {
+    Channel<int> empty(ChannelOptions{.capacity = 2, .spsc = spsc});
+    expect_lifecycle_wakes_parked(empty, /*consumer_side=*/true,
+                                  &Channel<int>::poison);
+    Channel<int> full(ChannelOptions{.capacity = 2, .spsc = spsc});
+    EXPECT_TRUE(full.push(1));
+    EXPECT_TRUE(full.push(2));
+    expect_lifecycle_wakes_parked(full, /*consumer_side=*/false,
+                                  &Channel<int>::poison);
+    (void)full.discard_all();
+    expect_conserved(full.stats());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
+#include <utility>
 
 #include "course/course.hpp"
 #include "gui/gui.hpp"
@@ -90,7 +92,13 @@ TEST(Integration, FullSemesterAdministrationInvariants) {
   ASSERT_EQ(selected.size(), 10u);
 
   std::vector<std::string> students;
-  for (int i = 0; i < 60; ++i) students.push_back("s" + std::to_string(i));
+  for (int i = 0; i < 60; ++i) {
+    // Appended, not `"s" + std::to_string(i)`: GCC 12 raises a false
+    // -Wrestrict on that operator+ in optimized builds.
+    std::string id = "s";
+    id += std::to_string(i);
+    students.push_back(std::move(id));
+  }
   auto groups = form_groups(students, 3);
   assign_preferences(groups, selected.size(), 2013);
   std::vector<std::size_t> arrival(groups.size());

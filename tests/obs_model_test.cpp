@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -346,6 +347,46 @@ TEST(ObsTraceRoundTrip, SyntheticDumpSurvivesWriteRead) {
   const RecordedGraph g2 = extract_task_graph(parsed);
   EXPECT_EQ(g1.task_count(), g2.task_count());
   EXPECT_EQ(g1.edge_count(), g2.edge_count());
+}
+
+TEST(ObsTraceRoundTrip, EveryEventKindSurvivesWriteRead) {
+  constexpr int kKinds = static_cast<int>(EventKind::kLastKind) + 1;
+  TraceDump dump;
+  ThreadTrack track;
+  track.name = "all-kinds";
+  for (int k = 0; k < kKinds; ++k) {
+    Event e;
+    e.kind = static_cast<EventKind>(k);
+    e.t_ns = 1000 * static_cast<std::uint64_t>(k + 1);
+    e.id = static_cast<std::uint64_t>(k + 1);
+    e.arg = static_cast<std::uint64_t>(k);
+    track.events.push_back(e);
+  }
+  dump.tracks.push_back(track);
+
+  std::stringstream ss;
+  write_chrome_trace(dump, ss);
+  const TraceDump parsed = read_chrome_trace(ss);
+
+  ASSERT_EQ(parsed.tracks.size(), 1u);
+  ASSERT_EQ(parsed.total_events(), static_cast<std::size_t>(kKinds));
+  for (int k = 0; k < kKinds; ++k) {
+    const Event& e = parsed.tracks[0].events[static_cast<std::size_t>(k)];
+    EXPECT_EQ(static_cast<int>(e.kind), k) << "kind " << k;
+    EXPECT_EQ(e.arg, static_cast<std::uint64_t>(k)) << "kind " << k;
+  }
+
+  // kLastKind really is last: the value after it has no writer entry (the
+  // writer's switch must name every kind, so a kind added after kLastKind
+  // without re-pointing the alias would fail here).
+  Event past;
+  past.kind = static_cast<EventKind>(kKinds);
+  TraceDump past_dump;
+  past_dump.tracks.push_back(ThreadTrack{0, "past", {past}, 0});
+  std::stringstream past_ss;
+  write_chrome_trace(past_dump, past_ss);
+  EXPECT_NE(past_ss.str().find("\"name\":\"unknown\""), std::string::npos)
+      << "an EventKind follows kLastKind";
 }
 
 TEST(ObsTraceRoundTrip, MalformedInputThrows) {
