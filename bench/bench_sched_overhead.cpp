@@ -3,21 +3,16 @@
 // reduction trees, the spawn-cost ablation).
 //
 // Prints a table of per-operation costs for the zero-allocation TaskCell
-// path against a reconstruction of the seed path (`new Job{std::function}`
-// + mutex-guarded injection deque), and *asserts* — via a counting
-// operator-new hook — that the worker-local submit path performs zero heap
-// allocations for small captures once the cell freelists are warm. The
-// per-spawn numbers feed parc::sim's MachineParams::per_task_overhead_s.
+// path, and *asserts* — via a counting operator-new hook — that the
+// worker-local submit path performs zero heap allocations for small
+// captures once the cell freelists are warm. The per-spawn numbers feed
+// parc::sim's MachineParams::per_task_overhead_s.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
-#include <functional>
-#include <mutex>
 #include <new>
 #include <thread>
 #include <vector>
@@ -93,25 +88,6 @@ struct SmallWork {
 };
 static_assert(TaskCell::stores_inline<SmallWork>());
 
-// --- seed path reconstruction: one heap Job per submission ----------------
-
-struct SeedJob {
-  std::function<void()> fn;
-};
-
-double measure_seed_job_cycle(std::size_t iters) {
-  std::uint64_t acc = 0;
-  Stopwatch sw;
-  for (std::size_t i = 0; i < iters; ++i) {
-    auto* job = new SeedJob{std::function<void()>(SmallWork{&acc, i, i + 1})};
-    job->fn();
-    delete job;
-  }
-  const double ns = sw.elapsed_ns() / static_cast<double>(iters);
-  g_sink = g_sink + acc;
-  return ns;
-}
-
 double measure_task_cell_cycle(std::size_t iters) {
   std::uint64_t acc = 0;
   TaskCell cell;  // recycled in place: the steady-state freelist case
@@ -125,32 +101,7 @@ double measure_task_cell_cycle(std::size_t iters) {
   return ns;
 }
 
-// --- injection queues: seed (mutex+deque) vs MPSC -------------------------
-
-double measure_seed_injection(std::size_t iters) {
-  std::mutex mutex;
-  std::deque<SeedJob*> queue;
-  std::uint64_t acc = 0;
-  Stopwatch sw;
-  for (std::size_t i = 0; i < iters; ++i) {
-    auto* job = new SeedJob{std::function<void()>(SmallWork{&acc, i, i})};
-    {
-      std::scoped_lock lock(mutex);
-      queue.push_back(job);
-    }
-    SeedJob* got;
-    {
-      std::scoped_lock lock(mutex);
-      got = queue.front();
-      queue.pop_front();
-    }
-    got->fn();
-    delete got;
-  }
-  const double ns = sw.elapsed_ns() / static_cast<double>(iters);
-  g_sink = g_sink + acc;
-  return ns;
-}
+// --- injection queue: MPSC push+pop ---------------------------------------
 
 double measure_mpsc_injection(std::size_t iters) {
   MpscIntrusiveQueue<TaskCell> queue;
@@ -477,59 +428,15 @@ double measure_region_forkjoin_us(std::size_t rounds, bool nested) {
   return samples[samples.size() / 2];
 }
 
-// --- completion core: seed (mutex+cv TaskState) vs sched::Completion ------
+// --- completion core: sched::Completion ------------------------------------
 //
-// The seed's TaskState carried a std::mutex + std::condition_variable + a
-// dependents vector per task; the task-graph refactor replaces all three
-// with one Completion word (done bit | parked-waiter count) and a sealed
-// Treiber continuation list. These measure the three costs that refactor
-// targets: the no-waiter complete (every task pays it), the notify-one-
-// dependent hand-off, and the per-edge dependency decrement.
-
-struct SeedCompletionState {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
-  std::vector<std::function<void()>> dependents;
-
-  void add_dependent(std::function<void()> fn) {
-    std::unique_lock lock(mutex);
-    if (done) {
-      lock.unlock();
-      fn();
-      return;
-    }
-    dependents.push_back(std::move(fn));
-  }
-  void complete() {
-    std::vector<std::function<void()>> fire;
-    {
-      std::scoped_lock lock(mutex);
-      done = true;
-      fire.swap(dependents);
-    }
-    cv.notify_all();
-    for (auto& fn : fire) fn();
-  }
-  void wait() {
-    std::unique_lock lock(mutex);
-    cv.wait(lock, [this] { return done; });
-  }
-};
+// One completion word (done bit | parked-waiter count) plus a sealed Treiber
+// continuation list. These measure the three costs every task-graph task
+// pays: the no-waiter complete, the notify-one-dependent hand-off, and the
+// per-edge dependency decrement.
 
 // No-waiter complete: construct + finish, the cost every task pays even when
-// nobody blocks on it. Fresh object per iteration on both sides — the seed
-// also constructed its mutex/cv per TaskState.
-double measure_seed_complete_cycle(std::size_t iters) {
-  Stopwatch sw;
-  for (std::size_t i = 0; i < iters; ++i) {
-    SeedCompletionState s;
-    s.complete();
-    g_sink = g_sink + (s.done ? 1 : 0);
-  }
-  return sw.elapsed_ns() / static_cast<double>(iters);
-}
-
+// nobody blocks on it.
 double measure_core_complete_cycle(std::size_t iters) {
   Stopwatch sw;
   for (std::size_t i = 0; i < iters; ++i) {
@@ -540,23 +447,8 @@ double measure_core_complete_cycle(std::size_t iters) {
   return sw.elapsed_ns() / static_cast<double>(iters);
 }
 
-// Notify hand-off: one registered dependent dispatched at completion. Both
-// sides heap-allocate the continuation (std::function vs FnNode); the win
-// is losing the lock round-trips around registration and the swap.
-double measure_seed_notify_one(std::size_t iters) {
-  std::uint64_t ran = 0;
-  Stopwatch sw;
-  for (std::size_t i = 0; i < iters; ++i) {
-    SeedCompletionState s;
-    s.add_dependent([&ran] { ++ran; });
-    s.complete();
-  }
-  const double ns = sw.elapsed_ns() / static_cast<double>(iters);
-  PARC_CHECK(ran == iters);
-  g_sink = g_sink + ran;
-  return ns;
-}
-
+// Notify hand-off: one registered dependent (a heap FnNode) dispatched at
+// completion.
 double measure_core_notify_one(std::size_t iters) {
   std::uint64_t ran = 0;
   Stopwatch sw;
@@ -572,38 +464,8 @@ double measure_core_notify_one(std::size_t iters) {
 }
 
 // Dependency resolution, ns per edge: what each dependsOn edge costs the
-// predecessor at finish time. Seed = mutex-guarded counter decrement; core
-// = DependencyCounter::satisfy (one fetch_sub). The registration hold (+1)
-// keeps the fire out of the measured window on both sides.
-
-// Escape hatch: publishing the state's address to a volatile global means
-// the opaque pthread lock/unlock calls could observe it, so the compiler
-// must keep `remaining` in memory across the critical section — as it had
-// to for the seed's shared TaskState — instead of caching it in a register.
-volatile void* g_escape = nullptr;
-
-struct SeedDepState {
-  std::mutex mutex;
-  std::size_t remaining = 0;
-};
-
-double measure_seed_dependency_edge(std::size_t iters) {
-  auto state = std::make_unique<SeedDepState>();
-  state->remaining = iters + 1;
-  g_escape = state.get();
-  std::uint64_t fired = 0;
-  Stopwatch sw;
-  for (std::size_t i = 0; i < iters; ++i) {
-    std::scoped_lock lock(state->mutex);
-    if (--state->remaining == 0) ++fired;
-  }
-  const double ns = sw.elapsed_ns() / static_cast<double>(iters);
-  PARC_CHECK(fired == 0);
-  g_sink = g_sink + state->remaining;
-  g_escape = nullptr;
-  return ns;
-}
-
+// predecessor at finish time — DependencyCounter::satisfy (one fetch_sub).
+// The registration hold (+1) keeps the fire out of the measured window.
 double measure_core_dependency_edge(std::size_t iters) {
   DependencyCounter deps;
   std::uint64_t fired = 0;
@@ -619,7 +481,7 @@ double measure_core_dependency_edge(std::size_t iters) {
 
 // Parked-join wakeup: complete() → a parked waiter returning from wait().
 // The waiter gets 2 ms to pass its spin phase and park, so this measures
-// the futex (resp. condition-variable) wake path, not the spin path.
+// the futex wake path, not the spin path.
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -629,12 +491,11 @@ std::int64_t now_ns() {
 // Median, not mean: each round is one sample of an OS wake path, and a
 // single descheduled round on a 1-core container can be 100x the typical
 // latency — the median is the number a student can reproduce.
-template <typename State>
 double measure_join_wakeup_us(std::size_t rounds) {
   std::vector<double> samples;
   samples.reserve(rounds);
   for (std::size_t r = 0; r < rounds; ++r) {
-    State state;
+    Completion state;
     std::atomic<std::int64_t> woke_at{0};
     std::thread waiter([&] {
       state.wait();
@@ -654,18 +515,6 @@ double measure_join_wakeup_us(std::size_t rounds) {
 }
 
 // --- google-benchmark micros ----------------------------------------------
-
-void BM_SeedJobCycle(benchmark::State& state) {
-  std::uint64_t acc = 0;
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    auto* job = new SeedJob{std::function<void()>(SmallWork{&acc, i, ++i})};
-    job->fn();
-    delete job;
-  }
-  benchmark::DoNotOptimize(acc);
-}
-BENCHMARK(BM_SeedJobCycle);
 
 void BM_TaskCellCycle(benchmark::State& state) {
   std::uint64_t acc = 0;
@@ -693,17 +542,6 @@ void BM_MpscPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_MpscPushPop);
 
-void BM_SeedCompletionNotify(benchmark::State& state) {
-  std::uint64_t ran = 0;
-  for (auto _ : state) {
-    SeedCompletionState s;
-    s.add_dependent([&ran] { ++ran; });
-    s.complete();
-  }
-  benchmark::DoNotOptimize(ran);
-}
-BENCHMARK(BM_SeedCompletionNotify);
-
 void BM_CoreCompletionNotify(benchmark::State& state) {
   std::uint64_t ran = 0;
   for (auto _ : state) {
@@ -730,77 +568,30 @@ int main(int argc, char** argv) {
 
   constexpr std::size_t kIters = 200000;
 
-  Table table("Scheduler fast-path microcosts (1-core container)");
-  table.columns({"operation", "seed path ns", "fast path ns", "speedup"});
+  Table table("Scheduler fast-path microcosts (ns unless noted)");
+  table.columns({"operation", "value"});
 
-  const double seed_cycle = measure_seed_job_cycle(kIters);
   const double cell_cycle = measure_task_cell_cycle(kIters);
   table.add_row()
       .cell("job create+run+release (small capture)")
-      .cell(seed_cycle, 1)
-      .cell(cell_cycle, 1)
-      .cell(seed_cycle / cell_cycle, 2);
-
-  const double seed_inject = measure_seed_injection(kIters);
+      .cell(cell_cycle, 1);
   const double mpsc_inject = measure_mpsc_injection(kIters);
-  table.add_row()
-      .cell("external inject+drain (1 thread)")
-      .cell(seed_inject, 1)
-      .cell(mpsc_inject, 1)
-      .cell(seed_inject / mpsc_inject, 2);
-
+  table.add_row().cell("external inject+drain (1 thread)").cell(mpsc_inject, 1);
   const double push_pop = measure_deque_push_pop(kIters);
+  table.add_row().cell("deque owner push+pop").cell(push_pop, 1);
   const double steal = measure_deque_steal(100000);
-  table.add_row()
-      .cell("deque owner push+pop")
-      .cell("-")
-      .cell(push_pop, 1)
-      .cell("-");
-  table.add_row().cell("deque steal").cell("-").cell(steal, 1).cell("-");
+  table.add_row().cell("deque steal").cell(steal, 1);
 
-  // Completion core (ISSUE 3): seed mutex+cv TaskState vs sched::Completion.
-  // glibc skips mutex atomics entirely while a process is single-threaded,
-  // which would flatter the seed numbers: the seed runtime always had pool
-  // workers alive. A parked keeper thread (zero CPU: futex wait) restores
-  // the multi-threaded lock paths for the measured window.
-  std::atomic<std::uint32_t> keeper_flag{0};
-  std::thread keeper([&keeper_flag] { keeper_flag.wait(0); });
-
-  const double seed_complete = measure_seed_complete_cycle(kIters);
   const double core_complete = measure_core_complete_cycle(kIters);
   table.add_row()
       .cell("completion: construct+complete, no waiter")
-      .cell(seed_complete, 1)
-      .cell(core_complete, 1)
-      .cell(seed_complete / core_complete, 2);
-
-  const double seed_notify = measure_seed_notify_one(kIters);
+      .cell(core_complete, 1);
   const double core_notify = measure_core_notify_one(kIters);
-  table.add_row()
-      .cell("completion: notify one dependent")
-      .cell(seed_notify, 1)
-      .cell(core_notify, 1)
-      .cell(seed_notify / core_notify, 2);
-
-  const double seed_edge = measure_seed_dependency_edge(kIters);
+  table.add_row().cell("completion: notify one dependent").cell(core_notify, 1);
   const double core_edge = measure_core_dependency_edge(kIters);
-  table.add_row()
-      .cell("dependency resolution, ns/edge")
-      .cell(seed_edge, 1)
-      .cell(core_edge, 1)
-      .cell(seed_edge / core_edge, 2);
-
-  const double seed_join_us = measure_join_wakeup_us<SeedCompletionState>(50);
-  const double core_join_us = measure_join_wakeup_us<Completion>(50);
-  table.add_row()
-      .cell("parked join wakeup latency (us)")
-      .cell(seed_join_us, 1)
-      .cell(core_join_us, 1)
-      .cell(seed_join_us / core_join_us, 2);
-
-  keeper_flag.store(1);
-  keeper_flag.notify_one();
-  keeper.join();
+  table.add_row().cell("dependency resolution, ns/edge").cell(core_edge, 1);
+  const double core_join_us = measure_join_wakeup_us(50);
+  table.add_row().cell("parked join wakeup latency (us)").cell(core_join_us, 1);
 
   {
     // One worker: keeps the submit→run cycle on a single deque so the
@@ -814,14 +605,10 @@ int main(int argc, char** argv) {
                    "worker-local submit path allocated on the fast path");
     table.add_row()
         .cell("pool worker-local submit+run")
-        .cell("-")
-        .cell(local.ns_per_job, 1)
-        .cell("-");
+        .cell(local.ns_per_job, 1);
     table.add_row()
         .cell("  heap allocs in measured window")
-        .cell("-")
-        .cell(static_cast<std::uint64_t>(local.allocs_in_window))
-        .cell("-");
+        .cell(static_cast<std::uint64_t>(local.allocs_in_window));
 
     // The continuation-stealing hand-off path: same cycle with the explicit
     // local hint, which adds the soft-cap check and outcome counter. Must
@@ -833,30 +620,20 @@ int main(int argc, char** argv) {
                    "hinted-local submit path allocated on the fast path");
     table.add_row()
         .cell("pool worker-local submit+run, hint=local")
-        .cell("-")
-        .cell(hinted.ns_per_job, 1)
-        .cell("-");
+        .cell(hinted.ns_per_job, 1);
 
     const double external = measure_external_submit(pool, kIters);
-    table.add_row()
-        .cell("pool external submit (amortised)")
-        .cell("-")
-        .cell(external, 1)
-        .cell("-");
+    table.add_row().cell("pool external submit (amortised)").cell(external, 1);
 
     const double wakeup_us = measure_parked_wakeup(pool, 50);
     table.add_row()
         .cell("parked-worker wakeup latency (us)")
-        .cell("-")
-        .cell(wakeup_us, 1)
-        .cell("-");
+        .cell(wakeup_us, 1);
 
     const double wakeup_local_us = measure_parked_wakeup_local_push(50);
     table.add_row()
         .cell("parked sibling wake via local push (us)")
-        .cell("-")
-        .cell(wakeup_local_us, 1)
-        .cell("-");
+        .cell(wakeup_local_us, 1);
 
     // pj nested-region cost: what an inner region(2) adds over a flat
     // region(2). The delta is the pool-routed inner fork/join (reserve +
@@ -865,28 +642,18 @@ int main(int argc, char** argv) {
     const double region_depth2_us = measure_region_forkjoin_us(200, true);
     table.add_row()
         .cell("pj region(2) fork+join, flat (us)")
-        .cell("-")
-        .cell(region_flat_us, 1)
-        .cell("-");
+        .cell(region_flat_us, 1);
     table.add_row()
         .cell("pj region(2) fork+join, depth 2 (us)")
-        .cell("-")
-        .cell(region_depth2_us, 1)
-        .cell("-");
+        .cell(region_depth2_us, 1);
     table.add_row()
         .cell("  inner-region fork/join delta (us)")
-        .cell("-")
-        .cell(region_depth2_us - region_flat_us, 1)
-        .cell("-");
+        .cell(region_depth2_us - region_flat_us, 1);
 
     // --- tracing overhead: the obs acceptance gates ----------------------
     // Idle gate: one relaxed load + predicted branch, budgeted at <= 5 ns.
     const double gate_ns = measure_trace_gate_cost(kIters);
-    table.add_row()
-        .cell("trace hook, compiled in but idle")
-        .cell("-")
-        .cell(gate_ns, 2)
-        .cell("-");
+    table.add_row().cell("trace hook, compiled in but idle").cell(gate_ns, 2);
     if (obs::kTraceCompiled) {
       PARC_CHECK_MSG(gate_ns <= 5.0,
                      "idle trace hook exceeds the 5 ns/job budget");
@@ -912,13 +679,10 @@ int main(int argc, char** argv) {
       traced_events = dump.total_events();
       table.add_row()
           .cell("pool worker-local submit+run, trace live")
-          .cell("-")
-          .cell(traced_ns, 1)
-          .cell("-");
+          .cell(traced_ns, 1);
+      table.add_row().cell("  events captured").cell(traced_events);
       table.add_row()
-          .cell("  events captured / heap allocs in window")
-          .cell("-")
-          .cell(traced_events)
+          .cell("  heap allocs in window")
           .cell(static_cast<std::uint64_t>(traced.allocs_in_window));
     }
 
@@ -945,14 +709,10 @@ int main(int argc, char** argv) {
     }
     table.add_row()
         .cell("pool worker-local submit+run, 2 domains")
-        .cell("-")
-        .cell(s2_local.ns_per_job, 1)
-        .cell("-");
+        .cell(s2_local.ns_per_job, 1);
     table.add_row()
         .cell("pool worker-local, hint=local, 2 domains")
-        .cell("-")
-        .cell(s2_hinted.ns_per_job, 1)
-        .cell("-");
+        .cell(s2_hinted.ns_per_job, 1);
 
     // Hostage-round wake paths across a domain boundary: the local-push
     // variant (continuation hand-off) and the explicit-shard variant. Both
@@ -962,9 +722,7 @@ int main(int argc, char** argv) {
     const double wakeup_local_s2_us = measure_parked_wakeup_local_push(50, 2);
     table.add_row()
         .cell("parked sibling wake via local push, 2 domains (us)")
-        .cell("-")
-        .cell(wakeup_local_s2_us, 1)
-        .cell("-");
+        .cell(wakeup_local_s2_us, 1);
     std::uint64_t fallback_wakes = 0;
     const double cross_wake_us =
         measure_cross_shard_fallback_wake(50, &fallback_wakes);
@@ -972,9 +730,7 @@ int main(int argc, char** argv) {
                    "no cross-shard fallback wake fired in 50 hostage rounds");
     table.add_row()
         .cell("cross-shard fallback wake latency (us)")
-        .cell("-")
-        .cell(cross_wake_us, 1)
-        .cell("-");
+        .cell(cross_wake_us, 1);
 
     // The hierarchical-stealing gate: under all-local load on a 4-domain
     // pool, cross-shard steals must stay under 10% of executed jobs.
@@ -990,18 +746,14 @@ int main(int argc, char** argv) {
             : 0.0;
     table.add_row()
         .cell("all-local load: cross-shard steals / 1k jobs (4 domains)")
-        .cell("-")
-        .cell(cross_per_1k, 2)
-        .cell("-");
+        .cell(cross_per_1k, 2);
 
     bench::JsonReport report("sched_overhead");
     report.config("workers", "1")
         .config("shards", "1")
         .config("shard_variants", "2,4")
         .config("trace_compiled", obs::kTraceCompiled ? "1" : "0");
-    report.add("seed_job_cycle", seed_cycle)
-        .add("task_cell_cycle", cell_cycle)
-        .add("seed_injection", seed_inject)
+    report.add("task_cell_cycle", cell_cycle)
         .add("mpsc_injection", mpsc_inject)
         .add("deque_push_pop", push_pop)
         .add("deque_steal", steal)
@@ -1012,13 +764,9 @@ int main(int argc, char** argv) {
         .add("parked_wakeup_local_push", wakeup_local_us * 1000.0)
         .add("pj_region_forkjoin_flat", region_flat_us * 1000.0)
         .add("pj_region_forkjoin_depth2", region_depth2_us * 1000.0)
-        .add("seed_complete_cycle", seed_complete)
         .add("core_complete_cycle", core_complete)
-        .add("seed_notify_one", seed_notify)
         .add("core_notify_one", core_notify)
-        .add("seed_dependency_edge", seed_edge)
         .add("core_dependency_edge", core_edge)
-        .add("seed_join_wakeup", seed_join_us * 1000.0)
         .add("core_join_wakeup", core_join_us * 1000.0)
         .add("trace_gate_idle", gate_ns)
         .add("worker_local_submit_shards2", s2_local.ns_per_job)

@@ -7,6 +7,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "support/check.hpp"
+
 namespace parc::obs {
 
 namespace {
@@ -212,46 +214,64 @@ RecordedGraph::RecordedGraph(std::vector<RecordedTask> tasks,
   }
 }
 
+std::unordered_map<std::uint64_t, Span> pair_spans(const TraceDump& dump,
+                                                   EventKind begin) {
+  const EventKindInfo open = event_kind_info(begin);
+  PARC_CHECK_MSG(open.ph == "B", "pair_spans needs a span-begin kind");
+  // trace.cpp asserts that exactly one "E" row closes each "B" row.
+  EventKind end = begin;
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    const EventKindInfo& row = kEventKindTable[k];
+    if (row.ph == "E" && row.name == open.name && row.cat == open.cat) {
+      end = static_cast<EventKind>(k);
+    }
+  }
+  std::unordered_map<std::uint64_t, Span> spans;
+  for (const auto& track : dump.tracks) {
+    for (const Event& e : track.events) {
+      if (e.kind == begin) {
+        Span& s = spans[e.id];
+        s.begin_ns = e.t_ns;
+        s.begin_tid = track.tid;
+        s.has_begin = true;
+      } else if (e.kind == end) {
+        Span& s = spans[e.id];
+        s.end_ns = e.t_ns;
+        s.end_tid = track.tid;
+        s.has_end = true;
+      }
+    }
+  }
+  return spans;
+}
+
 RecordedGraph extract_task_graph(const TraceDump& dump) {
   std::unordered_map<std::uint64_t, RecordedTask> tasks;
   std::unordered_set<std::uint64_t> edge_seen;
   std::vector<RecordedGraph::Edge> edges;
   for (const auto& track : dump.tracks) {
     for (const Event& e : track.events) {
-      switch (e.kind) {
-        case EventKind::kTaskSpawn: {
-          RecordedTask& t = tasks[e.id];
-          t.id = e.id;
-          t.parent = e.arg;
-          break;
+      if (e.kind == EventKind::kTaskSpawn) {
+        RecordedTask& t = tasks[e.id];
+        t.id = e.id;
+        t.parent = e.arg;
+      } else if (e.kind == EventKind::kDepEdge) {
+        // Dedupe (a diamond's join edge is recorded once per spawn call,
+        // but re-traced sessions could replay): key on the id pair.
+        const std::uint64_t key = e.id * 0x9e3779b97f4a7c15ull ^ e.arg;
+        if (edge_seen.insert(key).second) {
+          edges.emplace_back(e.id, e.arg);
         }
-        case EventKind::kTaskStart: {
-          RecordedTask& t = tasks[e.id];
-          t.id = e.id;
-          t.start_ns = e.t_ns;
-          t.started = true;
-          break;
-        }
-        case EventKind::kTaskFinish: {
-          RecordedTask& t = tasks[e.id];
-          t.id = e.id;
-          t.finish_ns = e.t_ns;
-          t.finished = true;
-          break;
-        }
-        case EventKind::kDepEdge: {
-          // Dedupe (a diamond's join edge is recorded once per spawn call,
-          // but re-traced sessions could replay): key on the id pair.
-          const std::uint64_t key = e.id * 0x9e3779b97f4a7c15ull ^ e.arg;
-          if (edge_seen.insert(key).second) {
-            edges.emplace_back(e.id, e.arg);
-          }
-          break;
-        }
-        default:
-          break;
       }
     }
+  }
+  for (const auto& [id, span] : pair_spans(dump, EventKind::kTaskStart)) {
+    RecordedTask& t = tasks[id];
+    t.id = id;
+    t.start_ns = span.begin_ns;
+    t.finish_ns = span.end_ns;
+    t.started = span.has_begin;
+    t.finished = span.has_end;
   }
   std::vector<RecordedTask> flat;
   flat.reserve(tasks.size());

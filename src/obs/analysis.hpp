@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -131,6 +132,26 @@ class RecordedGraph {
   std::vector<PatternGroup> patterns_;
   std::vector<std::size_t> pattern_of_;
 };
+
+/// Both recorded ends of one span (see pair_spans).
+struct Span {
+  std::uint64_t begin_ns = 0;
+  std::uint64_t end_ns = 0;
+  std::uint32_t begin_tid = 0;  ///< track of the begin event
+  std::uint32_t end_tid = 0;    ///< track of the end event
+  bool has_begin = false;
+  bool has_end = false;
+};
+
+/// Pair the events of `begin` (a "B" kind) with those of its "E" kind in
+/// the kind table, by event id: id → both ends. Meant for kinds whose id
+/// names exactly one span (tasks, serve exec); region, barrier and EDT
+/// spans repeat per member thread. An end that was never recorded leaves
+/// its has_* flag false; when an id repeats, the last event of each end
+/// wins. Whether a span is usable (both ends, end ≥ begin) is the caller's
+/// rule.
+[[nodiscard]] std::unordered_map<std::uint64_t, Span> pair_spans(
+    const TraceDump& dump, EventKind begin);
 
 /// Scan every track of `dump` for task-layer events and rebuild the graph.
 [[nodiscard]] RecordedGraph extract_task_graph(const TraceDump& dump);

@@ -9,82 +9,15 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "obs/analysis.hpp"
 
 namespace parc::obs {
 
 namespace {
-
-struct KindInfo {
-  const char* ph;    ///< trace-event phase: B, E, or i
-  const char* name;  ///< event name stem (id appended for span kinds)
-  const char* cat;
-  bool with_id;      ///< append "#<id>" to the name
-};
-
-KindInfo kind_info(EventKind kind) {
-  switch (kind) {
-    case EventKind::kJobEnqueue:   return {"i", "enqueue", "sched", false};
-    case EventKind::kExecBegin:    return {"B", "job", "sched", true};
-    case EventKind::kExecEnd:      return {"E", "job", "sched", true};
-    case EventKind::kSteal:        return {"i", "steal", "sched", false};
-    case EventKind::kPark:         return {"i", "park", "sched", false};
-    case EventKind::kUnpark:       return {"i", "unpark", "sched", false};
-    case EventKind::kTaskSpawn:    return {"i", "spawn", "task", true};
-    case EventKind::kTaskReady:    return {"i", "ready", "task", true};
-    case EventKind::kTaskStart:    return {"B", "task", "task", true};
-    case EventKind::kTaskFinish:   return {"E", "task", "task", true};
-    case EventKind::kDepEdge:      return {"i", "dep", "task", false};
-    case EventKind::kRegionBegin:  return {"B", "region", "pj", true};
-    case EventKind::kRegionEnd:    return {"E", "region", "pj", true};
-    case EventKind::kRegionFork:   return {"i", "region-fork", "pj", true};
-    case EventKind::kSpawnFallback:
-      return {"i", "spawn-fallback", "pj", true};
-    case EventKind::kBarrierBegin: return {"B", "barrier", "pj", false};
-    case EventKind::kBarrierEnd:   return {"E", "barrier", "pj", false};
-    case EventKind::kEdtPost:      return {"i", "post", "gui", false};
-    case EventKind::kEdtHop:       return {"i", "edt-hop", "gui", false};
-    case EventKind::kEdtRunBegin:  return {"B", "event", "gui", true};
-    case EventKind::kEdtRunEnd:    return {"E", "event", "gui", true};
-    case EventKind::kWaiterPark:   return {"B", "join-wait", "sync", true};
-    case EventKind::kWaiterWake:   return {"E", "join-wait", "sync", true};
-    case EventKind::kWaiterHelp:   return {"i", "help", "sync", false};
-    case EventKind::kContinuationRun:
-      return {"i", "continuation", "sync", true};
-    case EventKind::kContLocalPush:
-      return {"i", "cont-local-push", "sched", false};
-    case EventKind::kContInjectFallback:
-      return {"i", "cont-inject-fallback", "sched", false};
-    case EventKind::kDequeOverflow:
-      return {"i", "deque-overflow", "sched", false};
-    case EventKind::kStealRemote:
-      return {"i", "steal-remote", "sched", false};
-    case EventKind::kParkShard:
-      return {"i", "park-shard", "sched", false};
-    case EventKind::kServeArrive:  return {"i", "arrive", "serve", true};
-    case EventKind::kServeShed:    return {"i", "shed", "serve", true};
-    case EventKind::kServeHit:     return {"i", "cache-hit", "serve", true};
-    case EventKind::kServeCoalesce:
-      return {"i", "coalesce", "serve", true};
-    case EventKind::kServeBatch:   return {"i", "batch", "serve", true};
-    case EventKind::kServeExecBegin:
-      return {"B", "request", "serve", true};
-    case EventKind::kServeExecEnd: return {"E", "request", "serve", true};
-    case EventKind::kServeDone:    return {"i", "done", "serve", true};
-    case EventKind::kChanPush:     return {"i", "chan-push", "flow", true};
-    case EventKind::kChanPop:      return {"i", "chan-pop", "flow", true};
-    case EventKind::kChanFull:     return {"i", "chan-block", "flow", true};
-    case EventKind::kChanClosed:   return {"i", "chan-closed", "flow", true};
-    case EventKind::kReplicaPick:  return {"i", "replica-pick", "serve", true};
-    case EventKind::kReplicaFail:  return {"i", "replica-fail", "serve", true};
-    case EventKind::kEject:        return {"i", "eject", "serve", true};
-    case EventKind::kProbe:        return {"i", "probe", "serve", true};
-    case EventKind::kDeadlineShed:
-      return {"i", "deadline-shed", "serve", true};
-  }
-  return {"i", "unknown", "obs", false};
-}
 
 void append_escaped(std::string& out, const std::string& s) {
   for (const char c : s) {
@@ -113,12 +46,6 @@ void append_ts(std::string& out, std::uint64_t t_ns) {
   out += buf;
 }
 
-struct Anchor {
-  std::uint32_t tid = 0;
-  std::uint64_t t_ns = 0;
-  bool set = false;
-};
-
 }  // namespace
 
 void write_chrome_trace(const TraceDump& dump, std::ostream& os) {
@@ -141,24 +68,14 @@ void write_chrome_trace(const TraceDump& dump, std::ostream& os) {
     out += "\"}}";
   }
 
-  // First pass: anchor each task id's start/finish so dependence edges can
-  // be drawn as flow events between the right (track, time) points.
-  std::unordered_map<std::uint64_t, Anchor> starts;
-  std::unordered_map<std::uint64_t, Anchor> finishes;
-  for (const auto& track : dump.tracks) {
-    for (const Event& e : track.events) {
-      if (e.kind == EventKind::kTaskStart) {
-        starts[e.id] = Anchor{track.tid, e.t_ns, true};
-      } else if (e.kind == EventKind::kTaskFinish) {
-        finishes[e.id] = Anchor{track.tid, e.t_ns, true};
-      }
-    }
-  }
+  // Anchor each task id's start/finish so dependence edges can be drawn as
+  // flow events between the right (track, time) points.
+  const auto tasks = pair_spans(dump, EventKind::kTaskStart);
 
   std::uint64_t flow_id = 0;
   for (const auto& track : dump.tracks) {
     for (const Event& e : track.events) {
-      const KindInfo info = kind_info(e.kind);
+      const EventKindInfo info = event_kind_info(e.kind);
       comma();
       out += "{\"ph\":\"";
       out += info.ph;
@@ -198,25 +115,26 @@ void write_chrome_trace(const TraceDump& dump, std::ostream& os) {
       // A dependence edge additionally emits a flow arrow when both ends
       // were recorded (predecessor finish → successor start).
       if (e.kind == EventKind::kDepEdge) {
-        const auto from = finishes.find(e.id);
-        const auto to = starts.find(e.arg);
-        if (from != finishes.end() && to != starts.end()) {
+        const auto from = tasks.find(e.id);
+        const auto to = tasks.find(e.arg);
+        if (from != tasks.end() && from->second.has_end &&
+            to != tasks.end() && to->second.has_begin) {
           const std::uint64_t fid = flow_id++;
           comma();
           out += "{\"ph\":\"s\",\"name\":\"dep\",\"cat\":\"dep\",\"id\":";
           out += std::to_string(fid);
           out += ",\"ts\":";
-          append_ts(out, from->second.t_ns);
+          append_ts(out, from->second.end_ns);
           out += ",\"pid\":1,\"tid\":";
-          out += std::to_string(from->second.tid);
+          out += std::to_string(from->second.end_tid);
           out += "}";
           comma();
           out += "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"dep\",\"cat\":\"dep\",\"id\":";
           out += std::to_string(fid);
           out += ",\"ts\":";
-          append_ts(out, to->second.t_ns);
+          append_ts(out, to->second.begin_ns);
           out += ",\"pid\":1,\"tid\":";
-          out += std::to_string(to->second.tid);
+          out += std::to_string(to->second.begin_tid);
           out += "}";
         }
       }
@@ -434,16 +352,24 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-/// Reverse of kind_info: (ph, name-stem, cat) → EventKind, built once from
-/// the same table the writer uses so the two can never drift apart.
+std::string triple_key(std::string_view ph, std::string_view name,
+                       std::string_view cat) {
+  std::string key(ph);
+  key += '\x1f';
+  key += name;
+  key += '\x1f';
+  key += cat;
+  return key;
+}
+
+/// Inverse of the kind table: (ph, name-stem, cat) → EventKind.
 const std::unordered_map<std::string, EventKind>& kind_by_triple() {
   static const auto* map = [] {
     auto* m = new std::unordered_map<std::string, EventKind>;
-    for (int k = 0; k <= static_cast<int>(EventKind::kLastKind); ++k) {
-      const auto kind = static_cast<EventKind>(k);
-      const KindInfo info = kind_info(kind);
-      m->emplace(std::string(info.ph) + '\x1f' + info.name + '\x1f' + info.cat,
-                 kind);
+    for (std::size_t k = 0; k < kEventKindCount; ++k) {
+      const EventKindInfo& row = kEventKindTable[k];
+      m->emplace(triple_key(row.ph, row.name, row.cat),
+                 static_cast<EventKind>(k));
     }
     return m;
   }();
@@ -456,6 +382,21 @@ double require_number(const JsonValue& obj, const std::string& key) {
     throw std::runtime_error("chrome trace: missing numeric \"" + key + "\"");
   }
   return v->number;
+}
+
+/// `v` as an unsigned integer below `limit`. Negative, non-finite or
+/// too-large values throw: casting them would be undefined behaviour.
+std::uint64_t checked_uint(double v, const std::string& key,
+                           double limit = 0x1p64) {
+  if (!(v >= 0.0 && v < limit)) {
+    throw std::runtime_error("chrome trace: \"" + key + "\" out of range");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
+std::uint32_t require_tid(const JsonValue& record) {
+  return static_cast<std::uint32_t>(
+      checked_uint(require_number(record, "tid"), "tid", 0x1p32));
 }
 
 }  // namespace
@@ -497,8 +438,7 @@ TraceDump read_chrome_trace(std::istream& is) {
         const JsonValue* args = record.get("args");
         const JsonValue* label =
             args != nullptr ? args->get("name") : nullptr;
-        ThreadTrack& track = track_for(
-            static_cast<std::uint32_t>(require_number(record, "tid")));
+        ThreadTrack& track = track_for(require_tid(record));
         if (label != nullptr) track.name = label->string;
       }
       continue;
@@ -511,7 +451,7 @@ TraceDump read_chrome_trace(std::istream& is) {
     if (cat == nullptr) continue;
     const std::string stem = name->string.substr(0, name->string.find('#'));
     const auto it =
-        kind_by_triple().find(ph->string + '\x1f' + stem + '\x1f' + cat->string);
+        kind_by_triple().find(triple_key(ph->string, stem, cat->string));
     if (it == kind_by_triple().end()) continue;  // foreign tooling event
 
     const JsonValue* args = record.get("args");
@@ -521,12 +461,11 @@ TraceDump read_chrome_trace(std::istream& is) {
     }
     Event e;
     e.kind = it->second;
-    e.t_ns = static_cast<std::uint64_t>(
-        std::llround(require_number(record, "ts") * 1000.0));
-    e.id = static_cast<std::uint64_t>(require_number(*args, "id"));
-    e.arg = static_cast<std::uint64_t>(require_number(*args, "arg"));
-    track_for(static_cast<std::uint32_t>(require_number(record, "tid")))
-        .events.push_back(e);
+    e.t_ns = checked_uint(std::round(require_number(record, "ts") * 1000.0),
+                          "ts");
+    e.id = checked_uint(require_number(*args, "id"), "args.id");
+    e.arg = checked_uint(require_number(*args, "arg"), "args.arg");
+    track_for(require_tid(record)).events.push_back(e);
   }
   return dump;
 }

@@ -3,10 +3,11 @@
 //
 // Mapping:
 //  - every recorded thread becomes a named track (metadata "M" events);
-//  - paired kinds (ExecBegin/End, TaskStart/Finish, RegionBegin/End,
-//    BarrierBegin/End, EdtRunBegin/End) become duration events ("B"/"E"),
-//    which nest naturally per track — a ptask task span sits inside the
-//    scheduler job span that ran it;
+//  - each event is written as its row of the kind table in obs/trace.hpp
+//    says: span kinds (job, task, region, barrier, EDT event, join-wait,
+//    serve request) become duration events ("B"/"E"), which nest naturally
+//    per track — a ptask task span sits inside the scheduler job span that
+//    ran it;
 //  - dependence edges become flow events ("s" at the predecessor's finish,
 //    "f" at the successor's start) so Perfetto draws the task-graph arrows;
 //  - everything else (spawn, ready, steal, park, EDT hops) becomes a

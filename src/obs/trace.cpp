@@ -16,6 +16,41 @@ std::atomic<bool> g_trace_enabled{false};
 
 namespace {
 
+// Kind-table invariants, checked once here rather than in every includer.
+// The Chrome reader maps (ph, name, cat) back to a kind, and pair_spans
+// looks up the one "E" kind that closes a "B" kind: both rely on them.
+
+/// Number of rows with phase `ph` and the same (name, cat) as `like`.
+constexpr std::size_t rows_like(std::string_view ph,
+                                const EventKindInfo& like) {
+  std::size_t n = 0;
+  for (const EventKindInfo& r : kEventKindTable) {
+    if (r.ph == ph && r.name == like.name && r.cat == like.cat) ++n;
+  }
+  return n;
+}
+
+constexpr bool kind_triples_unique() {
+  for (const EventKindInfo& row : kEventKindTable) {
+    if (rows_like(row.ph, row) != 1) return false;
+  }
+  return true;
+}
+
+constexpr bool spans_pair_one_to_one() {
+  for (const EventKindInfo& row : kEventKindTable) {
+    if (row.ph == "B" && rows_like("E", row) != 1) return false;
+    if (row.ph == "E" && rows_like("B", row) != 1) return false;
+  }
+  return true;
+}
+
+static_assert(kind_triples_unique(),
+              "two event kinds export the same (ph, name, cat)");
+static_assert(spans_pair_one_to_one(),
+              "every \"B\" kind needs exactly one \"E\" kind with the same "
+              "(name, cat), and vice versa");
+
 [[nodiscard]] std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -23,12 +23,17 @@
 // Buffers are bounded and non-wrapping: when full, further events on that
 // thread are dropped and counted (`ThreadTrack::dropped`). A trace is a
 // measurement tool; dropping beats unbounded memory or a resize lock.
+//
+// Vocabulary. Every event kind is one row of the PARC_OBS_EVENT_KINDS table
+// below; adding a kind to the vocabulary is one new row.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 // Defined (0 or 1) by the build via the PARC_TRACE CMake option; defaults to
@@ -39,85 +44,171 @@
 
 namespace parc::obs {
 
-/// Fixed event vocabulary. `id` / `arg` meaning per kind is noted inline;
-/// ids come from next_id() and are unique across kinds within a process.
+// The trace-event vocabulary, defined once. Each row is
+//   X(kind, ph, name, cat, with_id)
+// where `ph` is the Chrome trace-event phase ("i" instant, "B"/"E" span
+// begin/end), `name` and `cat` the exported name stem and category, and
+// `with_id` appends "#<id>" to the exported name. Everything else derives
+// from the rows: the EventKind enum (in row order, so kind values never
+// shift), kEventKindCount, the event_kind_info() lookup the Chrome writer
+// indexes and the reader inverts, and span roles — a "B" row and the "E"
+// row with the same (name, cat) are the two ends of one span. Adding a kind
+// is one row; append it so recorded kind values stay stable. The `id` /
+// `arg` meaning of each kind is noted above its row; ids come from
+// next_id() and are unique across kinds within a process.
+// clang-format off
+#define PARC_OBS_EVENT_KINDS(X)                                               \
+  /* Scheduler layer (sched::WorkStealingPool). */                            \
+  /* id = job id, arg = 0 — cell entered a pool queue */                      \
+  X(kJobEnqueue, "i", "enqueue", "sched", false)                              \
+  /* id = job id — a worker/helper started the job */                         \
+  X(kExecBegin, "B", "job", "sched", true)                                    \
+  /* id = job id — the job returned */                                        \
+  X(kExecEnd, "E", "job", "sched", true)                                      \
+  /* id = stolen job id, arg = victim worker index */                         \
+  X(kSteal, "i", "steal", "sched", false)                                     \
+  /* id = worker index — worker went to sleep */                              \
+  X(kPark, "i", "park", "sched", false)                                       \
+  /* id = worker index — worker woke up */                                    \
+  X(kUnpark, "i", "unpark", "sched", false)                                   \
+  /* Task layer (ptask tasks, pj deferred tasks, multi-task bodies). */       \
+  /* id = task id, arg = parent task id (0 = none) */                         \
+  X(kTaskSpawn, "i", "spawn", "task", true)                                   \
+  /* id = task id — all dependences satisfied, submitted */                   \
+  X(kTaskReady, "i", "ready", "task", true)                                   \
+  /* id = task id — body began executing */                                   \
+  X(kTaskStart, "B", "task", "task", true)                                    \
+  /* id = task id — body finished (any terminal state) */                     \
+  X(kTaskFinish, "E", "task", "task", true)                                   \
+  /* id = predecessor task id, arg = successor task id */                     \
+  X(kDepEdge, "i", "dep", "task", false)                                      \
+  /* Pyjama structure. */                                                     \
+  /* id = region id, arg = team size (per member thread) */                   \
+  X(kRegionBegin, "B", "region", "pj", true)                                  \
+  /* id = region id, arg = member index */                                    \
+  X(kRegionEnd, "E", "region", "pj", true)                                    \
+  /* id = parent region id (0 = top level), arg = child id */                 \
+  X(kRegionFork, "i", "region-fork", "pj", true)                              \
+  /* id = region id, arg = member count — pool saturated, inner-region        \
+     members spawned as raw threads */                                        \
+  X(kSpawnFallback, "i", "spawn-fallback", "pj", true)                        \
+  /* id = barrier identity */                                                 \
+  X(kBarrierBegin, "B", "barrier", "pj", false)                               \
+  /* id = barrier identity */                                                 \
+  X(kBarrierEnd, "E", "barrier", "pj", false)                                 \
+  /* GUI event-dispatch thread. */                                            \
+  /* id = 0 — closure posted to the event loop */                             \
+  X(kEdtPost, "i", "post", "gui", false)                                      \
+  /* id = completing task id — handler dispatched to EDT */                   \
+  X(kEdtHop, "i", "edt-hop", "gui", false)                                    \
+  /* id = event sequence number — EDT started servicing */                    \
+  X(kEdtRunBegin, "B", "event", "gui", true)                                  \
+  /* id = event sequence number — EDT finished servicing */                   \
+  X(kEdtRunEnd, "E", "event", "gui", true)                                    \
+  /* Completion core (sched::Completion / JoinLatch / Barrier waiters). */    \
+  /* id = join identity — waiter parked on a futex word */                    \
+  X(kWaiterPark, "B", "join-wait", "sync", true)                              \
+  /* id = join identity — parked waiter resumed */                            \
+  X(kWaiterWake, "E", "join-wait", "sync", true)                              \
+  /* id = helped job id — a waiter ran a pool job */                          \
+  X(kWaiterHelp, "i", "help", "sync", false)                                  \
+  /* id = completed identity — continuation executed */                       \
+  X(kContinuationRun, "i", "continuation", "sync", true)                      \
+  /* Continuation stealing (hand-off decision on submit/complete). */         \
+  /* id = job id — ready work pushed to own deque tail */                     \
+  X(kContLocalPush, "i", "cont-local-push", "sched", false)                   \
+  /* id = job id — local hint from a non-worker thread */                     \
+  X(kContInjectFallback, "i", "cont-inject-fallback", "sched", false)         \
+  /* id = job id, arg = worker — soft cap hit, injected */                    \
+  X(kDequeOverflow, "i", "deque-overflow", "sched", false)                    \
+  /* Locality-domain sharding (Config::shards > 1; see DESIGN §3). */         \
+  /* id = stolen job id, arg = victim worker index — the thief's shard ran    \
+     dry and it crossed into another domain */                                \
+  X(kStealRemote, "i", "steal-remote", "sched", false)                        \
+  /* id = worker index, arg = shard index — worker parked on its shard's      \
+     (not a global) park list */                                              \
+  X(kParkShard, "i", "park-shard", "sched", false)                            \
+  /* Serving stack (parc::serve): one span per request + lifecycle marks. */  \
+  /* id = request id, arg = request kind — offered load */                    \
+  X(kServeArrive, "i", "arrive", "serve", true)                               \
+  /* id = request id, arg = 0 token bucket / 1 queue full */                  \
+  X(kServeShed, "i", "shed", "serve", true)                                   \
+  /* id = request id — answered from the result cache */                      \
+  X(kServeHit, "i", "cache-hit", "serve", true)                               \
+  /* id = request id, arg = leader request id — attached to an in-flight      \
+     computation of the same key */                                           \
+  X(kServeCoalesce, "i", "coalesce", "serve", true)                           \
+  /* id = batch sequence no., arg = batch size — a batch left the batcher     \
+     for submit_bulk */                                                       \
+  X(kServeBatch, "i", "batch", "serve", true)                                 \
+  /* id = request id, arg = shard — backend work started */                   \
+  X(kServeExecBegin, "B", "request", "serve", true)                           \
+  /* id = request id — backend work finished */                               \
+  X(kServeExecEnd, "E", "request", "serve", true)                             \
+  /* id = request id, arg = latency ns — reply delivered */                   \
+  X(kServeDone, "i", "done", "serve", true)                                   \
+  /* Bounded channels (parc::flow). `id` is the channel's process-unique      \
+     serial; push/pop carry occupancy *after* the operation so the exporter   \
+     can draw per-channel occupancy counter tracks. */                        \
+  /* id = channel id, arg = occupancy after the push */                       \
+  X(kChanPush, "i", "chan-push", "flow", true)                                \
+  /* id = channel id, arg = occupancy after the pop */                        \
+  X(kChanPop, "i", "chan-pop", "flow", true)                                  \
+  /* id = channel id, arg = 0 producer blocked on full, 1 consumer blocked    \
+     on empty */                                                              \
+  X(kChanFull, "i", "chan-block", "flow", true)                               \
+  /* id = channel id, arg = 0 closed, 1 poisoned */                           \
+  X(kChanClosed, "i", "chan-closed", "flow", true)                            \
+  /* Replicated serving (serve::Router health/fault lifecycle). Replica       \
+     transitions are keyed on *scheduled* arrival time, so a traced run's     \
+     eject/probe sequence is a pure function of the seeded request stream. */ \
+  /* id = request id, arg = replica index — router choice */                  \
+  X(kReplicaPick, "i", "replica-pick", "serve", true)                         \
+  /* id = request id, arg = replica index — request failed (injected fault    \
+     or organic backend error) */                                             \
+  X(kReplicaFail, "i", "replica-fail", "serve", true)                         \
+  /* id = replica index, arg = consecutive failures — replica left the        \
+     healthy rotation */                                                      \
+  X(kEject, "i", "eject", "serve", true)                                      \
+  /* id = replica index, arg = 0 half-open probe routed / 1 probe verdict ok  \
+     (replica recovered) / 2 probe verdict failed (backoff doubled,           \
+     re-ejected) */                                                           \
+  X(kProbe, "i", "probe", "serve", true)                                      \
+  /* id = request id, arg = priority — expired or refused by the              \
+     priority/deadline admission ladder */                                    \
+  X(kDeadlineShed, "i", "deadline-shed", "serve", true)
+// clang-format on
+
 enum class EventKind : std::uint8_t {
-  // Scheduler layer (sched::WorkStealingPool).
-  kJobEnqueue,   ///< id = job id, arg = 0 — cell entered a pool queue
-  kExecBegin,    ///< id = job id — a worker/helper started the job
-  kExecEnd,      ///< id = job id — the job returned
-  kSteal,        ///< id = stolen job id, arg = victim worker index
-  kPark,         ///< id = worker index — worker went to sleep
-  kUnpark,       ///< id = worker index — worker woke up
-  // Task layer (ptask tasks, pj deferred tasks, multi-task bodies).
-  kTaskSpawn,    ///< id = task id, arg = parent task id (0 = none)
-  kTaskReady,    ///< id = task id — all dependences satisfied, submitted
-  kTaskStart,    ///< id = task id — body began executing
-  kTaskFinish,   ///< id = task id — body finished (any terminal state)
-  kDepEdge,      ///< id = predecessor task id, arg = successor task id
-  // Pyjama structure.
-  kRegionBegin,  ///< id = region id, arg = team size (per member thread)
-  kRegionEnd,    ///< id = region id, arg = member index
-  kRegionFork,   ///< id = parent region id (0 = top level), arg = child id
-  kSpawnFallback,  ///< id = region id, arg = member count — pool saturated,
-                   ///< inner-region members spawned as raw threads
-  kBarrierBegin, ///< id = barrier identity
-  kBarrierEnd,   ///< id = barrier identity
-  // GUI event-dispatch thread.
-  kEdtPost,      ///< id = 0 — closure posted to the event loop
-  kEdtHop,       ///< id = completing task id — handler dispatched to EDT
-  kEdtRunBegin,  ///< id = event sequence number — EDT started servicing
-  kEdtRunEnd,    ///< id = event sequence number — EDT finished servicing
-  // Completion core (sched::Completion / JoinLatch / Barrier waiters).
-  kWaiterPark,      ///< id = join identity — waiter parked on a futex word
-  kWaiterWake,      ///< id = join identity — parked waiter resumed
-  kWaiterHelp,      ///< id = helped job id — a waiter ran a pool job
-  kContinuationRun, ///< id = completed identity — continuation executed
-  // Continuation stealing (hand-off decision on the submit/complete path).
-  kContLocalPush,       ///< id = job id — ready work pushed to own deque tail
-  kContInjectFallback,  ///< id = job id — local hint from a non-worker thread
-  kDequeOverflow,       ///< id = job id, arg = worker — soft cap hit, injected
-  // Locality-domain sharding (Config::shards > 1; see DESIGN §3).
-  kStealRemote,  ///< id = stolen job id, arg = victim worker index — the
-                 ///< thief's shard ran dry and it crossed into another domain
-  kParkShard,    ///< id = worker index, arg = shard index — worker parked on
-                 ///< its shard's (not a global) park list
-  // Serving stack (parc::serve): one span per request plus lifecycle marks.
-  kServeArrive,     ///< id = request id, arg = request kind — offered load
-  kServeShed,       ///< id = request id, arg = 0 token bucket / 1 queue full
-  kServeHit,        ///< id = request id — answered from the result cache
-  kServeCoalesce,   ///< id = request id, arg = leader request id — attached
-                    ///< to an in-flight computation of the same key
-  kServeBatch,      ///< id = batch sequence no., arg = batch size — a batch
-                    ///< left the batcher for submit_bulk
-  kServeExecBegin,  ///< id = request id, arg = shard — backend work started
-  kServeExecEnd,    ///< id = request id — backend work finished
-  kServeDone,       ///< id = request id, arg = latency ns — reply delivered
-  // Bounded channels (parc::flow). `id` is the channel's process-unique
-  // serial; push/pop carry occupancy *after* the operation so the exporter
-  // can draw per-channel occupancy counter tracks.
-  kChanPush,     ///< id = channel id, arg = occupancy after the push
-  kChanPop,      ///< id = channel id, arg = occupancy after the pop
-  kChanFull,     ///< id = channel id, arg = 0 producer blocked on full,
-                 ///< 1 consumer blocked on empty
-  kChanClosed,   ///< id = channel id, arg = 0 closed, 1 poisoned
-  // Replicated serving (serve::Router health/fault lifecycle). Replica
-  // transitions are keyed on *scheduled* arrival time, so a traced run's
-  // eject/probe sequence is a pure function of the seeded request stream.
-  kReplicaPick,   ///< id = request id, arg = replica index — router choice
-  kReplicaFail,   ///< id = request id, arg = replica index — request failed
-                  ///< (injected fault or organic backend error)
-  kEject,         ///< id = replica index, arg = consecutive failures —
-                  ///< replica left the healthy rotation
-  kProbe,         ///< id = replica index, arg = 0 half-open probe routed /
-                  ///< 1 probe verdict ok (replica recovered) / 2 probe
-                  ///< verdict failed (backoff doubled, re-ejected)
-  kDeadlineShed,  ///< id = request id, arg = priority — expired or refused
-                  ///< by the priority/deadline admission ladder
-  // Keep last: an alias of the final kind above, so loops over every kind
-  // (0..kLastKind) see a new one. Add new kinds above and re-point it.
-  kLastKind = kDeadlineShed,
+#define PARC_OBS_KIND_ENUM(kind, ph, name, cat, with_id) kind,
+  PARC_OBS_EVENT_KINDS(PARC_OBS_KIND_ENUM)
+#undef PARC_OBS_KIND_ENUM
 };
+
+/// One table row: how a kind is exported as a Chrome trace event.
+struct EventKindInfo {
+  std::string_view ph;    ///< "i", "B" or "E"
+  std::string_view name;  ///< name stem ("#<id>" appended when with_id)
+  std::string_view cat;
+  bool with_id = false;
+};
+
+inline constexpr EventKindInfo kEventKindTable[] = {
+#define PARC_OBS_KIND_INFO(kind, ph, name, cat, with_id) \
+  {ph, name, cat, with_id},
+  PARC_OBS_EVENT_KINDS(PARC_OBS_KIND_INFO)
+#undef PARC_OBS_KIND_INFO
+};
+
+inline constexpr std::size_t kEventKindCount = std::size(kEventKindTable);
+
+/// Table row of `kind`. A value outside the table (a corrupt byte) reads
+/// as an "unknown" instant.
+[[nodiscard]] constexpr EventKindInfo event_kind_info(EventKind kind) noexcept {
+  const auto k = static_cast<std::size_t>(kind);
+  if (k < kEventKindCount) return kEventKindTable[k];
+  return {"i", "unknown", "obs", false};
+}
 
 /// Fixed-slot trace record: 32 bytes, written once, never reused.
 struct Event {

@@ -4,18 +4,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/analysis.hpp"
+
 namespace parc::serve {
 
 ReplayDag build_serve_dag(const obs::TraceDump& dump) {
-  // Pass 1: gather arrivals (id, t) and exec spans (id → begin/end).
-  struct Span {
-    std::uint64_t begin_ns = 0;
-    std::uint64_t end_ns = 0;
-    bool has_begin = false;
-    bool has_end = false;
-  };
+  // Pass 1: gather arrivals (id, t) and routing events; exec spans come
+  // from pair_spans (id → begin/end).
   std::vector<std::pair<std::uint64_t, std::uint64_t>> arrivals;  // (t, id)
-  std::unordered_map<std::uint64_t, Span> spans;
   std::unordered_map<std::uint64_t, std::size_t> picks;  // request → replica
   std::unordered_map<std::uint64_t, std::size_t> fails;  // request → replica
   for (const auto& track : dump.tracks) {
@@ -24,18 +20,6 @@ ReplayDag build_serve_dag(const obs::TraceDump& dump) {
         case obs::EventKind::kServeArrive:
           arrivals.emplace_back(e.t_ns, e.id);
           break;
-        case obs::EventKind::kServeExecBegin: {
-          Span& s = spans[e.id];
-          s.begin_ns = e.t_ns;
-          s.has_begin = true;
-          break;
-        }
-        case obs::EventKind::kServeExecEnd: {
-          Span& s = spans[e.id];
-          s.end_ns = e.t_ns;
-          s.has_end = true;
-          break;
-        }
         case obs::EventKind::kReplicaPick:
           picks[e.id] = static_cast<std::size_t>(e.arg);
           break;
@@ -47,6 +31,7 @@ ReplayDag build_serve_dag(const obs::TraceDump& dump) {
       }
     }
   }
+  const auto spans = obs::pair_spans(dump, obs::EventKind::kServeExecBegin);
   std::sort(arrivals.begin(), arrivals.end());
 
   ReplayDag out;

@@ -350,7 +350,7 @@ TEST(ObsTraceRoundTrip, SyntheticDumpSurvivesWriteRead) {
 }
 
 TEST(ObsTraceRoundTrip, EveryEventKindSurvivesWriteRead) {
-  constexpr int kKinds = static_cast<int>(EventKind::kLastKind) + 1;
+  constexpr int kKinds = static_cast<int>(kEventKindCount);
   TraceDump dump;
   ThreadTrack track;
   track.name = "all-kinds";
@@ -376,9 +376,9 @@ TEST(ObsTraceRoundTrip, EveryEventKindSurvivesWriteRead) {
     EXPECT_EQ(e.arg, static_cast<std::uint64_t>(k)) << "kind " << k;
   }
 
-  // kLastKind really is last: the value after it has no writer entry (the
-  // writer's switch must name every kind, so a kind added after kLastKind
-  // without re-pointing the alias would fail here).
+  // A value past the kind table is written as "unknown". (That the table
+  // itself is consistent — unique triples, one-to-one B/E spans — is
+  // checked at compile time by the static_asserts in trace.cpp.)
   Event past;
   past.kind = static_cast<EventKind>(kKinds);
   TraceDump past_dump;
@@ -386,7 +386,7 @@ TEST(ObsTraceRoundTrip, EveryEventKindSurvivesWriteRead) {
   std::stringstream past_ss;
   write_chrome_trace(past_dump, past_ss);
   EXPECT_NE(past_ss.str().find("\"name\":\"unknown\""), std::string::npos)
-      << "an EventKind follows kLastKind";
+      << "a kind past the table should export as unknown";
 }
 
 TEST(ObsTraceRoundTrip, MalformedInputThrows) {
@@ -394,6 +394,37 @@ TEST(ObsTraceRoundTrip, MalformedInputThrows) {
   EXPECT_THROW((void)read_chrome_trace(bad), std::runtime_error);
   std::stringstream empty("");
   EXPECT_THROW((void)read_chrome_trace(empty), std::runtime_error);
+
+  // Numbers that do not fit the unsigned fields they land in: negative,
+  // non-finite after scaling, or at least 2^64 (2^32 for tid).
+  auto with = [](const std::string& ts, const std::string& tid,
+                 const std::string& id, const std::string& arg) {
+    std::string text = R"({"traceEvents":[{"ph":"B","name":"task#1",)";
+    text += R"("cat":"task","ts":)";
+    text += ts;
+    text += R"(,"pid":1,"tid":)";
+    text += tid;
+    text += R"(,"args":{"id":)";
+    text += id;
+    text += R"(,"arg":)";
+    text += arg;
+    text += "}}]}";
+    return text;
+  };
+  std::stringstream ok(with("1.500", "0", "1", "0"));
+  EXPECT_EQ(read_chrome_trace(ok).total_events(), 1u);
+  for (const std::string& text :
+       {with("-5", "0", "1", "0"), with("1e308", "0", "1", "0"),
+        with("1", "-1", "1", "0"), with("1", "4294967296", "1", "0"),
+        with("1", "0", "-3", "0"), with("1", "0", "18446744073709551616", "0"),
+        with("1", "0", "1", "1e30"), with("1", "0", "1", "-0.5")}) {
+    std::stringstream in(text);
+    EXPECT_THROW((void)read_chrome_trace(in), std::runtime_error) << text;
+  }
+  std::stringstream bad_meta(
+      R"({"traceEvents":[{"ph":"M","name":"thread_name","pid":1,)"
+      R"("tid":-1,"args":{"name":"x"}}]})");
+  EXPECT_THROW((void)read_chrome_trace(bad_meta), std::runtime_error);
 }
 
 TEST(ObsTraceRoundTrip, TracedRunSurvivesWriteRead) {

@@ -447,5 +447,76 @@ TEST(ObsChromeTrace, ExportValidatesAgainstTraceEventSchema) {
   EXPECT_TRUE(saw_worker) << "pool worker threads should be labelled";
 }
 
+// ---------------------------------------------------------------------------
+// pair_spans: id-keyed begin/end pairing from the kind table.
+// ---------------------------------------------------------------------------
+
+Event make_event(EventKind kind, std::uint64_t t_ns, std::uint64_t id) {
+  Event e;
+  e.kind = kind;
+  e.t_ns = t_ns;
+  e.id = id;
+  return e;
+}
+
+TEST(ObsPairSpans, PairsEndsByIdAndKeepsIncompleteSpans) {
+  constexpr EventKind B = EventKind::kTaskStart;
+  constexpr EventKind E = EventKind::kTaskFinish;
+  TraceDump dump;
+  dump.tracks.push_back(ThreadTrack{0, "a", {}, 0});
+  dump.tracks.push_back(ThreadTrack{1, "b", {}, 0});
+  dump.tracks[0].events = {
+      make_event(B, 100, 1),  // id 1: ends on the other track
+      make_event(E, 150, 2),  // id 2: no begin
+      make_event(B, 200, 3),  // id 3: no end
+      make_event(E, 300, 4),  // id 4: end stamped before its begin
+      make_event(B, 400, 4),
+      make_event(B, 500, 5),  // id 5: both ends repeat
+      make_event(E, 600, 5),
+      make_event(B, 700, 5),
+      make_event(EventKind::kExecBegin, 50, 1),  // another span kind
+  };
+  dump.tracks[1].events = {make_event(E, 180, 1), make_event(E, 800, 5)};
+
+  const auto spans = pair_spans(dump, B);
+  ASSERT_EQ(spans.size(), 5u);
+
+  const Span& s1 = spans.at(1);
+  EXPECT_TRUE(s1.has_begin && s1.has_end);
+  EXPECT_EQ(s1.begin_ns, 100u);
+  EXPECT_EQ(s1.end_ns, 180u);
+  EXPECT_EQ(s1.begin_tid, 0u);
+  EXPECT_EQ(s1.end_tid, 1u);
+
+  const Span& s2 = spans.at(2);
+  EXPECT_FALSE(s2.has_begin);
+  EXPECT_TRUE(s2.has_end);
+  EXPECT_EQ(s2.end_ns, 150u);
+
+  const Span& s3 = spans.at(3);
+  EXPECT_TRUE(s3.has_begin);
+  EXPECT_FALSE(s3.has_end);
+  EXPECT_EQ(s3.begin_ns, 200u);
+
+  // Reversed ends are reported as recorded; callers apply end >= begin.
+  const Span& s4 = spans.at(4);
+  EXPECT_TRUE(s4.has_begin && s4.has_end);
+  EXPECT_EQ(s4.begin_ns, 400u);
+  EXPECT_EQ(s4.end_ns, 300u);
+
+  // Last write wins for each end, in track order.
+  const Span& s5 = spans.at(5);
+  EXPECT_EQ(s5.begin_ns, 700u);
+  EXPECT_EQ(s5.end_ns, 800u);
+  EXPECT_EQ(s5.end_tid, 1u);
+
+  // The closing kind comes from the table: exec spans pair job ends only.
+  const auto jobs = pair_spans(dump, EventKind::kExecBegin);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_TRUE(jobs.at(1).has_begin);
+  EXPECT_FALSE(jobs.at(1).has_end);
+  EXPECT_TRUE(pair_spans(dump, EventKind::kServeExecBegin).empty());
+}
+
 }  // namespace
 }  // namespace parc::obs
