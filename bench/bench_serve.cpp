@@ -95,9 +95,9 @@ struct LevelResult {
   Server::Stats stats;
 };
 
-/// Closed loop: keep `window` requests in flight until `n` completed.
-double calibrate_capacity(std::size_t n, std::size_t window) {
-  ServerConfig cfg = base_config();
+/// Closed loop on `cfg`'s server: keep `window` requests in flight until
+/// `n` completed.
+double calibrate_capacity(ServerConfig cfg, std::size_t n, std::size_t window) {
   cfg.admission = AdmissionConfig{0.0, 256.0, 0};  // no gates
   Server server(cfg);
   WorkloadConfig w = base_workload(n);
@@ -164,6 +164,18 @@ LevelResult run_level(std::size_t n, double rate, double admit_rate) {
   return out;
 }
 
+/// The degraded-mode phase's server: the sweep's configuration behind 4
+/// replicas. Its runs are traced (kDegradedTrace), so its capacity is
+/// calibrated under a trace session of the same size.
+ServerConfig replicated_config() {
+  ServerConfig cfg = base_config();
+  cfg.router.replicas = 4;
+  cfg.router.seed = 7;
+  return cfg;
+}
+
+const obs::TraceConfig kDegradedTrace{std::size_t{1} << 20};
+
 /// One replicated open-loop run for the degraded-mode sweep: 4 replicas,
 /// priority-weighted traffic at 1.3× the admitted rate (so the token
 /// ladder sheds — from the low class), optionally under a fault plan.
@@ -182,10 +194,8 @@ struct DegradedResult {
 
 DegradedResult run_replicated(std::size_t n, double rate, double admit_rate,
                               const FaultPlan& plan, double duration_s) {
-  ServerConfig cfg = base_config();
+  ServerConfig cfg = replicated_config();
   cfg.admission = AdmissionConfig{admit_rate, 256.0, 8192};
-  cfg.router.replicas = 4;
-  cfg.router.seed = 7;
   // Backoffs scale with the schedule so a blackout ending at 60% of the
   // run always leaves room for the recovery probe to land and succeed.
   cfg.router.health.probe_backoff_s = duration_s * 0.005;
@@ -198,7 +208,7 @@ DegradedResult run_replicated(std::size_t n, double rate, double admit_rate,
   WorkloadConfig w = base_workload(n);
   w.arrival_rate = rate;
   LoadGenerator gen(w);
-  obs::TraceSession session(obs::TraceConfig{std::size_t{1} << 20});
+  obs::TraceSession session(kDegradedTrace);
   server.start();
   for (std::size_t i = 0; i < n; ++i) {
     const Request r = gen.next();
@@ -334,7 +344,7 @@ int main(int argc, char** argv) {
   const std::size_t traced_n = json_only ? 30000 : 60000;
 
   // Phase 1: capacity.
-  const double capacity = calibrate_capacity(calib_n, 512);
+  const double capacity = calibrate_capacity(base_config(), calib_n, 512);
   std::printf("closed-loop capacity: %.0f req/s\n", capacity);
 
   // Phase 2: the load sweep. The token bucket is set to 1.2× capacity:
@@ -436,8 +446,22 @@ int main(int argc, char** argv) {
   // low class); the blackout must trigger ejection, then recovery via
   // half-open probes once the window ends, while priority-high p99 stays
   // inside 2× of the healthy run's.
+  // The admitted rate is half the capacity of the phase's own server, 4
+  // replicas and traced: the sweep's capacity above is measured on an
+  // unreplicated, untraced server that drains faster, and an admitted rate
+  // derived from it overflows the pending queue, whose sheds ignore
+  // priority.
   const std::size_t per_degraded = json_only ? 40000 : 120000;
-  const double deg_admit = 0.5 * capacity;
+  double deg_capacity = 0.0;
+  {
+    obs::TraceSession session(kDegradedTrace);
+    deg_capacity = calibrate_capacity(replicated_config(), calib_n, 512);
+  }
+  std::printf("degraded-mode server capacity (4 replicas, traced): %.0f "
+              "req/s\n",
+              deg_capacity);
+  total_offered += calib_n;
+  const double deg_admit = 0.5 * deg_capacity;
   const double deg_rate = 1.3 * deg_admit;
   const double deg_duration = static_cast<double>(per_degraded) / deg_rate;
   const FaultPlan blackout =
@@ -451,20 +475,21 @@ int main(int argc, char** argv) {
   Table deg("Degraded mode: 4 replicas, one blacked out for 40% of the "
             "schedule (offered = 1.3x admitted rate)");
   deg.columns({"run", "p99 ms", "p99-high ms", "shed rate", "shed from low",
-               "failed", "neg hits", "ejects", "recoveries"});
+               "shed queue-full", "failed", "neg hits", "ejects",
+               "recoveries"});
   const std::pair<const char*, const DegradedResult*> deg_rows[] = {
       {"healthy", &healthy}, {"blackout", &degraded}};
   for (const auto& [name, r] : deg_rows) {
     const auto& s = r->stats;
+    const double shed =
+        static_cast<double>(s.shed_rate + s.shed_queue + s.shed_deadline);
     deg.add_row()
         .cell(name)
         .cell(r->p99_ms, 3)
         .cell(r->p99_high_ms, 3)
-        .cell(static_cast<double>(s.shed_rate + s.shed_queue +
-                                  s.shed_deadline) /
-                  static_cast<double>(s.offered),
-              3)
+        .cell(shed / static_cast<double>(s.offered), 3)
         .cell(r->shed_low_frac, 3)
+        .cell(shed == 0.0 ? 0.0 : static_cast<double>(s.shed_queue) / shed, 3)
         .cell(static_cast<double>(s.failed), 0)
         .cell(static_cast<double>(s.negative_hits), 0)
         .cell(static_cast<double>(s.router.ejections), 0)

@@ -15,28 +15,30 @@
 //    different cache lines. For many-to-one (EventLoop posts) and
 //    one-to-many (downloader work feed) edges.
 //
-// Blocking edges ride the completion-core park/wake idiom (DESIGN §3, PR 3):
-// a producer hitting a full channel or a consumer hitting an empty one
-// behaves exactly like a task waiter —
+// Blocking edges ride the completion-core park/wake idiom (DESIGN §3): a
+// producer hitting a full channel or a consumer hitting an empty one
+// behaves exactly like a task waiter, and both edges share one slow path
+// (`block`) —
 //
 //  - pool-capable threads (WorkStealingPool::current_pool() != nullptr)
 //    never park here: a worker parked on a channel word cannot be woken by
 //    new pool work, and the peer that would free a slot may itself be queued
 //    behind the blocked worker (the bounded-buffer variant of the helping
 //    deadlock documented in conc/task_safe.hpp). They `help_while` instead.
-//  - everything else spins `sched::detail::kWaiterSpins` and then parks on
-//    an epoch word with std::atomic::wait, exactly like Completion::wait.
+//  - everything else spins and then parks on the edge's epoch word through
+//    sched::detail::spin_until/park_until, the same waiter as
+//    Completion::wait.
 //
 // Wakeup protocol (waiter-counted, like Completion::complete and the pool's
 // `sleepers` handshake): each edge has an epoch word and a parked-waiter
-// count (`not_empty_*` for consumers, `not_full_*` for producers).
+// count (`not_empty_` for consumers, `not_full_` for producers).
 //
 //  - A parker increments the edge's waiter count (seq_cst) and issues a
 //    StoreLoad barrier *before* it snapshots the epoch and re-checks the
 //    ring; it decrements the count once it stops waiting.
 //  - A successful push publishes its slot, issues a StoreLoad barrier and
-//    reads `not_empty_waiters_`; only if it is non-zero does it bump
-//    `not_empty_epoch_` and notify_all. Pops do the same on the other edge.
+//    reads `not_empty_`'s waiter count; only if it is non-zero does it bump
+//    that edge's epoch and notify_all. Pops do the same on the other edge.
 //
 // This is a Dekker handshake: either the publisher's waiter read sees the
 // parker (→ it bumps and notifies), or the parker's re-check sees the
@@ -225,14 +227,20 @@ class Channel {
   /// element is dropped — by then no consumer is coming for it).
   bool push(T v) {
     PushResult r = try_push(v);
-    if (r == PushResult::full) r = push_slow(v);
+    if (r == PushResult::full) {
+      r = block(PushResult::full, not_full_, producer_, 0,
+                [&] { return try_push(v); });
+    }
     return r == PushResult::ok;
   }
 
   /// Pop, blocking while empty. Returns false iff closed-and-drained.
   bool pop(T& out) {
     PopResult r = try_pop(out);
-    if (r == PopResult::empty) r = pop_slow(out);
+    if (r == PopResult::empty) {
+      r = block(PopResult::empty, not_empty_, consumer_, 1,
+                [&] { return try_pop(out); });
+    }
     return r == PopResult::ok;
   }
 
@@ -246,31 +254,28 @@ class Channel {
       T& out, std::chrono::steady_clock::time_point deadline) {
     using clock = std::chrono::steady_clock;
     if (deadline == clock::time_point::max()) {
-      PopResult r = try_pop(out);
-      if (r == PopResult::empty) r = pop_slow(out);
-      return r;
+      return pop(out) ? PopResult::ok : PopResult::closed;
     }
     PopResult r = try_pop(out);
     if (r != PopResult::empty) return r;
-    consumer_blocks_.fetch_add(1, std::memory_order_relaxed);
+    consumer_.blocks.fetch_add(1, std::memory_order_relaxed);
     if (obs::tracing()) [[unlikely]] {
       obs::emit(obs::EventKind::kChanFull, id_, 1);
     }
     const auto t0 = clock::now();
-    for (std::size_t i = 0;
-         i < sched::detail::kWaiterSpins && r == PopResult::empty; ++i) {
-      ExponentialBackoff::cpu_relax();
+    const auto ready = [&] {
       r = try_pop(out);
+      return r != PopResult::empty;
+    };
+    if (!sched::detail::spin_until(ready)) {
+      for (auto now = clock::now(); now < deadline; now = clock::now()) {
+        std::this_thread::sleep_for(
+            std::min<clock::duration>(std::chrono::milliseconds(1),
+                                      deadline - now));
+        if (ready()) break;
+      }
     }
-    while (r == PopResult::empty) {
-      const auto now = clock::now();
-      if (now >= deadline) break;
-      std::this_thread::sleep_for(
-          std::min<clock::duration>(std::chrono::milliseconds(1),
-                                    deadline - now));
-      r = try_pop(out);
-    }
-    consumer_blocked_ns_.fetch_add(
+    consumer_.blocked_ns.fetch_add(
         static_cast<std::uint64_t>(
             std::chrono::nanoseconds(clock::now() - t0).count()),
         std::memory_order_relaxed);
@@ -329,7 +334,7 @@ class Channel {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       ++n;
     }
-    if (n != 0) wake(not_full_epoch_);
+    if (n != 0) wake(not_full_);
     return n;
   }
 
@@ -355,16 +360,16 @@ class Channel {
     s.pushed = pushed_.load(std::memory_order_relaxed);
     s.popped = popped_.load(std::memory_order_relaxed);
     s.dropped = dropped_.load(std::memory_order_relaxed);
-    s.producer_blocks = producer_blocks_.load(std::memory_order_relaxed);
-    s.consumer_blocks = consumer_blocks_.load(std::memory_order_relaxed);
-    s.producer_parks = producer_parks_.load(std::memory_order_relaxed);
-    s.consumer_parks = consumer_parks_.load(std::memory_order_relaxed);
-    s.producer_helps = producer_helps_.load(std::memory_order_relaxed);
-    s.consumer_helps = consumer_helps_.load(std::memory_order_relaxed);
+    s.producer_blocks = producer_.blocks.load(std::memory_order_relaxed);
+    s.consumer_blocks = consumer_.blocks.load(std::memory_order_relaxed);
+    s.producer_parks = producer_.parks.load(std::memory_order_relaxed);
+    s.consumer_parks = consumer_.parks.load(std::memory_order_relaxed);
+    s.producer_helps = producer_.helps.load(std::memory_order_relaxed);
+    s.consumer_helps = consumer_.helps.load(std::memory_order_relaxed);
     s.producer_blocked_ns =
-        producer_blocked_ns_.load(std::memory_order_relaxed);
+        producer_.blocked_ns.load(std::memory_order_relaxed);
     s.consumer_blocked_ns =
-        consumer_blocked_ns_.load(std::memory_order_relaxed);
+        consumer_.blocked_ns.load(std::memory_order_relaxed);
     s.occupancy = occupancy();
     s.high_water = std::max<std::uint64_t>(
         high_water_.load(std::memory_order_relaxed), s.occupancy);
@@ -375,6 +380,21 @@ class Channel {
   }
 
  private:
+  /// One blocking edge: the epoch word its waiters park on and the count of
+  /// registered waiters that gates the publisher's wake.
+  struct Edge {
+    alignas(kCacheLineSize) std::atomic<std::uint32_t> epoch{0};
+    std::atomic<std::uint32_t> waiters{0};
+  };
+
+  /// One side's blocked-op counters (ChannelStats producer_* / consumer_*).
+  struct SideStats {
+    std::atomic<std::uint64_t> blocks{0};
+    std::atomic<std::uint64_t> parks{0};  ///< futex waits
+    std::atomic<std::uint64_t> helps{0};
+    std::atomic<std::uint64_t> blocked_ns{0};
+  };
+
   // One Vyukov subring: per-slot sequence numbers arbitrate producers and
   // consumers without a shared head/tail pair (conc::MpmcRing protocol).
   struct Slot {
@@ -505,32 +525,20 @@ class Channel {
   /// registered. Under TSan (which does not model fences, and which GCC's
   /// -Wtsan rejects) the barrier is a seq_cst RMW on the waiter count, the
   /// same location the parker increments.
-  static void wake_if_parked(std::atomic<std::uint32_t>& waiters,
-                             std::atomic<std::uint32_t>& epoch) noexcept {
+  static void wake_if_parked(Edge& edge) noexcept {
     std::uint32_t parked;
     if constexpr (sched::detail::kTsanBuild) {
-      parked = waiters.fetch_add(0, std::memory_order_seq_cst);
+      parked = edge.waiters.fetch_add(0, std::memory_order_seq_cst);
     } else {
       std::atomic_thread_fence(std::memory_order_seq_cst);
-      parked = waiters.load(std::memory_order_relaxed);
+      parked = edge.waiters.load(std::memory_order_relaxed);
     }
-    if (parked != 0) wake(epoch);
+    if (parked != 0) wake(edge);
   }
 
-  static void wake(std::atomic<std::uint32_t>& epoch) noexcept {
-    epoch.fetch_add(1, std::memory_order_release);
-    epoch.notify_all();
-  }
-
-  /// Parker half: register before the epoch snapshot and ring re-check.
-  /// The fence pairs with the publisher's: the re-check's loads are only
-  /// acquire, so the increment alone would not order them after it. Under
-  /// TSan both sides RMW the same word, whose modification order suffices.
-  static void register_waiter(std::atomic<std::uint32_t>& waiters) noexcept {
-    waiters.fetch_add(1, std::memory_order_seq_cst);
-    if constexpr (!sched::detail::kTsanBuild) {
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-    }
+  static void wake(Edge& edge) noexcept {
+    edge.epoch.fetch_add(1, std::memory_order_release);
+    edge.epoch.notify_all();
   }
 
   void after_push() noexcept {
@@ -540,7 +548,7 @@ class Channel {
       raise_high_water(clamped_occupancy(
           pushed_.fetch_add(1, std::memory_order_relaxed) + 1));
     }
-    wake_if_parked(not_empty_waiters_, not_empty_epoch_);
+    wake_if_parked(not_empty_);
     if (obs::tracing()) [[unlikely]] {
       obs::emit(obs::EventKind::kChanPush, id_, occupancy());
     }
@@ -552,100 +560,49 @@ class Channel {
     } else {
       popped_.fetch_add(1, std::memory_order_relaxed);
     }
-    wake_if_parked(not_full_waiters_, not_full_epoch_);
+    wake_if_parked(not_full_);
     if (obs::tracing()) [[unlikely]] {
       obs::emit(obs::EventKind::kChanPop, id_, occupancy());
     }
   }
 
-  PushResult push_slow(T& v) {
+  /// The blocking half of push (producer side, parked on not_full_) and pop
+  /// (consumer side, on not_empty_): retry `attempt` until its result is no
+  /// longer `blocked`. Pool threads help; everything else spins, registers
+  /// on the edge, then parks through the shared waiter. `side` labels the
+  /// trace events (0 = producer, 1 = consumer).
+  template <typename Result, typename Attempt>
+  Result block(Result blocked, Edge& edge, SideStats& side_stats,
+               std::uint64_t side, Attempt attempt) {
     using clock = std::chrono::steady_clock;
-    producer_blocks_.fetch_add(1, std::memory_order_relaxed);
+    side_stats.blocks.fetch_add(1, std::memory_order_relaxed);
     if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kChanFull, id_, 0);
+      obs::emit(obs::EventKind::kChanFull, id_, side);
     }
     const auto t0 = clock::now();
-    PushResult r = PushResult::full;
+    Result r = blocked;
+    const auto ready = [&] {
+      r = attempt();
+      return r != blocked;
+    };
     if (auto* pool = sched::WorkStealingPool::current_pool()) {
-      producer_helps_.fetch_add(1, std::memory_order_relaxed);
-      pool->help_while([&] {
-        r = try_push(v);
-        return r == PushResult::full;
-      });
-    } else {
-      for (std::size_t i = 0;
-           i < sched::detail::kWaiterSpins && r == PushResult::full; ++i) {
-        ExponentialBackoff::cpu_relax();
-        r = try_push(v);
+      side_stats.helps.fetch_add(1, std::memory_order_relaxed);
+      pool->help_while([&] { return !ready(); });
+    } else if (!sched::detail::spin_until(ready)) {
+      // Register before the park phase's first epoch snapshot and ring
+      // re-check. The fence pairs with the publisher's: the re-check's
+      // loads are only acquire, so the increment alone would not order them
+      // after it. Under TSan both sides RMW the same word, whose
+      // modification order suffices.
+      edge.waiters.fetch_add(1, std::memory_order_seq_cst);
+      if constexpr (!sched::detail::kTsanBuild) {
+        std::atomic_thread_fence(std::memory_order_seq_cst);
       }
-      if (r == PushResult::full) {
-        register_waiter(not_full_waiters_);
-        while (r == PushResult::full) {
-          const std::uint32_t e =
-              not_full_epoch_.load(std::memory_order_acquire);
-          r = try_push(v);
-          if (r != PushResult::full) break;
-          producer_parks_.fetch_add(1, std::memory_order_relaxed);
-          if (obs::tracing()) [[unlikely]] {
-            obs::emit(obs::EventKind::kWaiterPark, id_, 0);
-          }
-          not_full_epoch_.wait(e, std::memory_order_acquire);
-          if (obs::tracing()) [[unlikely]] {
-            obs::emit(obs::EventKind::kWaiterWake, id_, 0);
-          }
-          r = try_push(v);
-        }
-        not_full_waiters_.fetch_sub(1, std::memory_order_relaxed);
-      }
+      sched::detail::park_until(edge.epoch, ready, id_, side,
+                                &side_stats.parks);
+      edge.waiters.fetch_sub(1, std::memory_order_relaxed);
     }
-    producer_blocked_ns_.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::nanoseconds(clock::now() - t0).count()),
-        std::memory_order_relaxed);
-    return r;
-  }
-
-  PopResult pop_slow(T& out) {
-    using clock = std::chrono::steady_clock;
-    consumer_blocks_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kChanFull, id_, 1);
-    }
-    const auto t0 = clock::now();
-    PopResult r = PopResult::empty;
-    if (auto* pool = sched::WorkStealingPool::current_pool()) {
-      consumer_helps_.fetch_add(1, std::memory_order_relaxed);
-      pool->help_while([&] {
-        r = try_pop(out);
-        return r == PopResult::empty;
-      });
-    } else {
-      for (std::size_t i = 0;
-           i < sched::detail::kWaiterSpins && r == PopResult::empty; ++i) {
-        ExponentialBackoff::cpu_relax();
-        r = try_pop(out);
-      }
-      if (r == PopResult::empty) {
-        register_waiter(not_empty_waiters_);
-        while (r == PopResult::empty) {
-          const std::uint32_t e =
-              not_empty_epoch_.load(std::memory_order_acquire);
-          r = try_pop(out);
-          if (r != PopResult::empty) break;
-          consumer_parks_.fetch_add(1, std::memory_order_relaxed);
-          if (obs::tracing()) [[unlikely]] {
-            obs::emit(obs::EventKind::kWaiterPark, id_, 1);
-          }
-          not_empty_epoch_.wait(e, std::memory_order_acquire);
-          if (obs::tracing()) [[unlikely]] {
-            obs::emit(obs::EventKind::kWaiterWake, id_, 1);
-          }
-          r = try_pop(out);
-        }
-        not_empty_waiters_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    consumer_blocked_ns_.fetch_add(
+    side_stats.blocked_ns.fetch_add(
         static_cast<std::uint64_t>(
             std::chrono::nanoseconds(clock::now() - t0).count()),
         std::memory_order_relaxed);
@@ -656,8 +613,8 @@ class Channel {
     const bool was = closed_.exchange(true, std::memory_order_acq_rel);
     // Wake both edges even when already closed: poison-after-close must
     // still kick parked consumers into their drain-and-exit path.
-    wake(not_full_epoch_);
-    wake(not_empty_epoch_);
+    wake(not_full_);
+    wake(not_empty_);
     if (!was && obs::tracing()) [[unlikely]] {
       obs::emit(obs::EventKind::kChanClosed, id_, poison ? 1 : 0);
     }
@@ -694,22 +651,15 @@ class Channel {
   alignas(kCacheLineSize) std::atomic<bool> closed_{false};
   std::atomic<bool> poisoned_{false};
 
-  // Park/wake edges: epoch + parked-waiter count. Publishers only read the
-  // count; parkers write it, so the line stays shared while nobody parks.
-  alignas(kCacheLineSize) std::atomic<std::uint32_t> not_full_epoch_{0};
-  std::atomic<std::uint32_t> not_full_waiters_{0};
-  alignas(kCacheLineSize) std::atomic<std::uint32_t> not_empty_epoch_{0};
-  std::atomic<std::uint32_t> not_empty_waiters_{0};
+  // Park/wake edges: producers park on not_full_, consumers on not_empty_.
+  // Publishers only read an edge's count; parkers write it, so the line
+  // stays shared while nobody parks.
+  Edge not_full_;
+  Edge not_empty_;
 
-  // Slow-path counters (blocked ops only).
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> producer_blocks_{0};
-  std::atomic<std::uint64_t> consumer_blocks_{0};
-  std::atomic<std::uint64_t> producer_parks_{0};
-  std::atomic<std::uint64_t> consumer_parks_{0};
-  std::atomic<std::uint64_t> producer_helps_{0};
-  std::atomic<std::uint64_t> consumer_helps_{0};
-  std::atomic<std::uint64_t> producer_blocked_ns_{0};
-  std::atomic<std::uint64_t> consumer_blocked_ns_{0};
+  // Slow-path counters (blocked ops only), kept off the edges' lines.
+  alignas(kCacheLineSize) SideStats producer_;
+  SideStats consumer_;
 };
 
 }  // namespace parc::flow

@@ -9,77 +9,50 @@
 //       [](Image i){ return scale(i); });
 //   std::vector<Thumb> thumbs = done.get();
 //
-// Stages are *interactive* tasks (the elastic pool), not compute tasks: a
-// stage spends its life blocked on its input channel, and parking a bounded
-// compute worker that way invites the nesting deadlock — a helping pop
-// can run the upstream stage on its own stack and then starve it. Long-
-// lived mostly-waiting work is precisely what Parallel Task routes to
-// interactive threads, so the pipeline does too; the compute pool stays
-// free for the work inside the stage bodies.
-//
-// The inter-stage edges are SPSC flow::Channels (PR 8): close() is the
-// end-of-stream signal (no optional sentinel), and the bounded capacity
-// back-pressures a fast stage instead of buffering the whole stream.
-// For per-stage parallelism, fusion and error propagation, use
-// flow::Pipeline directly — this adapter keeps the ParallelTask-shaped API.
+// This is a thin configuration of flow::Pipeline that keeps the
+// ParallelTask-shaped API: every stage is wrapped in flow::stage(...), so
+// each one runs on its own flow stage thread behind an SPSC channel (never
+// on a bounded compute worker, where a blocked stage could have its own
+// upstream nested under it by helping), and nothing fuses. One interactive
+// task feeds the inputs and waits for the pipeline, so a stage that throws
+// poisons the chain and its exception rethrows from get().
 #pragma once
 
-#include <memory>
+#include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "flow/channel.hpp"
+#include "flow/pipeline.hpp"
 #include "ptask/spawn.hpp"
 
 namespace parc::ptask {
 
 namespace detail {
 
-/// Elements buffered per inter-stage edge before the producer stage blocks.
-inline constexpr std::size_t kStageChannelCapacity = 256;
-
-/// Inter-stage edge. Exactly one producer and one consumer per edge (each
-/// stage is a single sequential task), so the SPSC fast path applies.
-template <typename T>
-using Flow = flow::Channel<T>;
-
-template <typename T>
-std::shared_ptr<Flow<T>> make_flow() {
-  return std::make_shared<Flow<T>>(flow::ChannelOptions{
-      .capacity = kStageChannelCapacity, .spsc = true});
+/// Append each callable as its own stage. A stage's result is returned
+/// inside an engaged std::optional, so a stage whose own result is a
+/// std::optional stays a map instead of becoming a flow filter.
+template <typename Builder>
+auto add_stages(Builder b) {
+  return b;
 }
 
-/// Terminal: collect the final stream into a vector.
-template <typename In>
-TaskID<std::vector<In>> connect(Runtime& rt, std::shared_ptr<Flow<In>> in) {
-  return run_interactive(rt, [in] {
-    std::vector<In> out;
-    In token;
-    while (in->pop(token)) out.push_back(std::move(token));
-    return out;
-  });
-}
-
-/// One transforming stage, then recurse on the rest of the chain.
-template <typename In, typename F, typename... Rest>
-auto connect(Runtime& rt, std::shared_ptr<Flow<In>> in, F f, Rest... rest) {
-  using Out = std::invoke_result_t<F, In>;
-  static_assert(!std::is_void_v<Out>,
-                "pipeline stages must return a value; put side effects in "
-                "the sink stage's result");
-  static_assert(std::is_default_constructible_v<Out>,
-                "pipeline stage results cross a flow::Channel, whose ring "
-                "slots are default-constructed");
-  auto out = make_flow<Out>();
-  run_interactive(rt, [in, out, f = std::move(f)] {
-    In token;
-    while (in->pop(token)) {
-      if (!out->push(f(std::move(token)))) break;  // downstream poisoned
-    }
-    out->close();  // propagate end-of-stream
-  });
-  return connect(rt, out, std::move(rest)...);
+template <typename Builder, typename F, typename... Rest>
+auto add_stages(Builder b, F f, Rest... rest) {
+  auto stage = [f = std::move(f)](auto x) {
+    using Out = decltype(f(std::move(x)));
+    static_assert(!std::is_void_v<Out>,
+                  "pipeline stages must return a value; put side effects in "
+                  "the sink stage's result");
+    static_assert(std::is_default_constructible_v<Out>,
+                  "pipeline stage results cross a flow::Channel, whose ring "
+                  "slots are default-constructed");
+    return std::optional<Out>(f(std::move(x)));
+  };
+  return add_stages(std::move(b).then(flow::stage(std::move(stage))),
+                    std::move(rest)...);
 }
 
 }  // namespace detail
@@ -88,15 +61,15 @@ auto connect(Runtime& rt, std::shared_ptr<Flow<In>> in, F f, Rest... rest) {
 /// the ordered vector of final-stage outputs.
 template <typename In, typename... Stages>
 auto pipeline(Runtime& rt, std::vector<In> inputs, Stages... stages) {
-  auto source = detail::make_flow<In>();
-  auto result = detail::connect(rt, source, std::move(stages)...);
-  run_interactive(rt, [source, inputs = std::move(inputs)]() mutable {
-    for (auto& x : inputs) {
-      if (!source->push(std::move(x))) break;  // downstream poisoned
-    }
-    source->close();
+  return run_interactive(rt, [inputs = std::move(inputs),
+                              ... stages = std::move(stages)]() mutable {
+    auto p = detail::add_stages(
+                 flow::pipeline<In>({.single_producer = true}),
+                 std::move(stages)...)
+                 .collect();
+    p.push_n(std::span<In>(inputs));
+    return p.wait();
   });
-  return result;
 }
 
 template <typename In, typename... Stages>

@@ -23,8 +23,10 @@
 // composed pieces), because a helper parked on a completion word cannot be
 // woken by new pool work and a bounded pool could deadlock. Threads that
 // must not run pool work (the main thread, the EDT, region team threads)
-// spin briefly and then park on the word with std::atomic::wait; the
-// completing side publishes its result, then sets the bit and notifies.
+// spin briefly and then park on the word with std::atomic::wait, through
+// detail::spin_until/park_until — the one waiter every blocking primitive
+// shares; the completing side publishes its result, then sets the bit and
+// notifies.
 //
 // Lifetime rule (what makes stack-allocated Completions safe, e.g. in
 // EventLoop::post_and_wait): complete() touches *this last via the
@@ -87,6 +89,61 @@ class FnNode final : public CompletionNode {
 /// parking is the *intended* steady state for non-helper threads, spinning
 /// only covers completions that are a few hundred cycles away.
 inline constexpr std::size_t kWaiterSpins = 256;
+
+// The one spin-then-park waiter: the non-helping leg of the waiter
+// taxonomy (task_graph.hpp). Completion, Sequencer, JoinLatch and Barrier
+// without a pool, and both flow::Channel edges wait through it. A caller
+// whose notify is gated on a waiter count registers between the two
+// phases (spin_until, then park_until); the others call spin_then_park.
+
+/// Spin phase: up to kWaiterSpins rounds of cpu_relax, then ready(). True
+/// as soon as ready() holds, false when the budget ran out.
+template <typename Ready>
+[[nodiscard]] bool spin_until(Ready&& ready) {
+  for (std::size_t i = 0; i < kWaiterSpins; ++i) {
+    ExponentialBackoff::cpu_relax();
+    if (ready()) return true;
+  }
+  return false;
+}
+
+/// Park phase: snapshot `word`, re-check ready(), futex-wait on the
+/// snapshot; repeat until ready() holds. The publisher makes ready() true
+/// *before* it changes `word` and notifies, so the snapshot must come first:
+/// either the re-check sees the publication or the wait sees the changed
+/// word. (Re-checking first could read "not ready", then snapshot the
+/// already-changed word and sleep through the wakeup.)
+///
+/// A wait that blocks emits one kWaiterPark/kWaiterWake pair, labelled
+/// `trace_id`/`arg`, around all of its futex waits. `waits`, when given,
+/// is bumped just before each futex wait, so a stats read sees a waiter
+/// that is parked right now.
+template <typename Word, typename Ready>
+void park_until(const std::atomic<Word>& word, Ready&& ready,
+                std::uint64_t trace_id, std::uint64_t arg,
+                std::atomic<std::uint64_t>* waits = nullptr) {
+  bool parked = false;
+  for (;;) {
+    const Word seen = word.load(std::memory_order_acquire);
+    if (ready()) break;
+    if (!parked && obs::tracing()) [[unlikely]] {
+      obs::emit(obs::EventKind::kWaiterPark, trace_id, arg);
+    }
+    parked = true;
+    if (waits != nullptr) waits->fetch_add(1, std::memory_order_relaxed);
+    word.wait(seen, std::memory_order_acquire);
+  }
+  if (parked && obs::tracing()) [[unlikely]] {
+    obs::emit(obs::EventKind::kWaiterWake, trace_id, arg);
+  }
+}
+
+/// Both phases, for waiters with nothing to register in between.
+template <typename Word, typename Ready>
+void spin_then_park(const std::atomic<Word>& word, Ready&& ready,
+                    std::uint64_t trace_id, std::uint64_t arg) {
+  if (!spin_until(ready)) park_until(word, ready, trace_id, arg);
+}
 
 /// Continuation hand-off hook (continuation stealing). This header is
 /// deliberately pool-free — include- *and* link-level: parc_gui uses
@@ -226,26 +283,15 @@ class Completion {
   /// work; helpers compose help_while with completed() instead (see
   /// task_graph.hpp). `trace_id` labels the park/wake trace events.
   void wait(std::uint64_t trace_id = 0) noexcept {
-    if (completed()) return;
-    for (std::size_t i = 0; i < detail::kWaiterSpins; ++i) {
-      ExponentialBackoff::cpu_relax();
-      if (completed()) return;
-    }
-    if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kWaiterPark, trace_id, 0);
-    }
+    const auto fired = [this] { return completed(); };
+    if (fired() || detail::spin_until(fired)) return;
+    // Count ourselves in the state word before the park phase's first
+    // snapshot, so complete()'s fetch_or sees a waiter and notifies.
     state_.fetch_add(std::uint32_t{1} << kWaiterShift,
                      std::memory_order_seq_cst);
-    for (;;) {
-      const std::uint32_t s = state_.load(std::memory_order_acquire);
-      if ((s & kCompletedBit) != 0) break;
-      state_.wait(s, std::memory_order_acquire);
-    }
+    detail::park_until(state_, fired, trace_id, 0);
     state_.fetch_sub(std::uint32_t{1} << kWaiterShift,
                      std::memory_order_relaxed);
-    if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kWaiterWake, trace_id, 0);
-    }
   }
 
  private:
@@ -363,24 +409,12 @@ class Sequencer {
 
   /// Block until it is `ticket`'s turn.
   void wait_for(std::int64_t ticket, std::uint64_t trace_id = 0) noexcept {
-    if (next_.load(std::memory_order_acquire) == ticket) return;
-    for (std::size_t i = 0; i < detail::kWaiterSpins; ++i) {
-      ExponentialBackoff::cpu_relax();
-      if (next_.load(std::memory_order_acquire) == ticket) return;
-    }
-    if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kWaiterPark, trace_id,
-                static_cast<std::uint64_t>(ticket));
-    }
-    for (;;) {
-      const std::int64_t cur = next_.load(std::memory_order_acquire);
-      if (cur == ticket) break;
-      next_.wait(cur, std::memory_order_acquire);
-    }
-    if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kWaiterWake, trace_id,
-                static_cast<std::uint64_t>(ticket));
-    }
+    const auto my_turn = [this, ticket] {
+      return next_.load(std::memory_order_acquire) == ticket;
+    };
+    if (my_turn()) return;
+    detail::spin_then_park(next_, my_turn, trace_id,
+                           static_cast<std::uint64_t>(ticket));
   }
 
   /// Release the next ticket. The release RMW publishes everything the

@@ -9,15 +9,14 @@
 //    pool or atomic::wait-park — never block a pooled worker on a cv — so a
 //    team larger than the worker count still makes progress (pj::Barrier,
 //    conc::TaskSafeBarrier);
-//  - TaskLatch: the historical sched join latch, now a thin JoinLatch
-//    wrapper (kept for source compatibility with pool-level callers).
 //
 // Waiter taxonomy (the contract every wait() below follows): a thread that
 // is allowed to run pool jobs — a pool worker, or an external caller that
 // opted into helping — uses pool.help_while(), because the job that would
 // complete the join may be sitting in a queue only the waiter can drain.
 // A thread that must NOT run pool jobs (a pj region team thread, the EDT)
-// parks on the completion/count word via std::atomic::wait. Ordered-ticket
+// spins, then parks on the completion/count word, always through
+// detail::spin_then_park (completion.hpp). Ordered-ticket
 // waits (completion.hpp Sequencer) always park: helping could nest a later
 // ticket's wait on the waiter's own stack and deadlock the sequence.
 #pragma once
@@ -106,21 +105,8 @@ class JoinLatch {
       helper_pool->help_while([this] { return !idle(); });
       return;
     }
-    for (std::size_t i = 0; i < detail::kWaiterSpins; ++i) {
-      ExponentialBackoff::cpu_relax();
-      if (idle()) return;
-    }
-    if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kWaiterPark, trace_id, 0);
-    }
-    for (;;) {
-      const std::size_t n = outstanding_.load(std::memory_order_acquire);
-      if (n == 0) break;
-      outstanding_.wait(n, std::memory_order_acquire);
-    }
-    if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kWaiterWake, trace_id, 0);
-    }
+    detail::spin_then_park(outstanding_, [this] { return idle(); }, trace_id,
+                           0);
   }
 
  private:
@@ -164,25 +150,14 @@ class Barrier {
     WorkStealingPool* pool = help_pool_ != nullptr
                                  ? help_pool_
                                  : WorkStealingPool::current_pool();
+    const auto released = [this, gen] {
+      return generation_.load(std::memory_order_acquire) != gen;
+    };
     if (pool != nullptr) {
-      pool->help_while([this, gen] {
-        return generation_.load(std::memory_order_acquire) == gen;
-      });
+      pool->help_while([&] { return !released(); });
       return;
     }
-    for (std::size_t i = 0; i < detail::kWaiterSpins; ++i) {
-      ExponentialBackoff::cpu_relax();
-      if (generation_.load(std::memory_order_acquire) != gen) return;
-    }
-    if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kWaiterPark, 0, gen);
-    }
-    while (generation_.load(std::memory_order_acquire) == gen) {
-      generation_.wait(gen, std::memory_order_acquire);
-    }
-    if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kWaiterWake, 0, gen);
-    }
+    detail::spin_then_park(generation_, released, 0, gen);
   }
 
  private:
@@ -190,24 +165,6 @@ class Barrier {
   WorkStealingPool* const help_pool_;
   alignas(kCacheLineSize) std::atomic<std::size_t> arrived_{0};
   alignas(kCacheLineSize) std::atomic<std::uint32_t> generation_{0};
-};
-
-/// A count-up/count-down completion latch that waits by helping the pool.
-/// Used by runtimes to implement join points (taskgroup / parallel-for end).
-/// Now a thin wrapper over JoinLatch; kept for source compatibility.
-class TaskLatch {
- public:
-  explicit TaskLatch(WorkStealingPool& pool) : pool_(pool) {}
-
-  void add(std::size_t n = 1) noexcept { join_.add(n); }
-  void done() noexcept { join_.done(); }
-  [[nodiscard]] bool idle() const noexcept { return join_.idle(); }
-  /// Blocks (cooperatively) until the count returns to zero.
-  void wait() { join_.wait(&pool_); }
-
- private:
-  WorkStealingPool& pool_;
-  JoinLatch join_;
 };
 
 }  // namespace parc::sched

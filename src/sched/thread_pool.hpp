@@ -497,7 +497,4 @@ class WorkStealingPool {
   alignas(kCacheLineSize) std::atomic<std::size_t> external_cursor_{0};
 };
 
-// TaskLatch moved to sched/task_graph.hpp, where it wraps the shared
-// JoinLatch from the completion core.
-
 }  // namespace parc::sched

@@ -11,7 +11,8 @@
 //    a boundary), asserted through Pipeline::stage_count();
 //  - a randomized multi-stage pipeline matches the sequential oracle;
 //  - the waiter-gated wakeup never loses a wakeup: capacity-1/2 channels
-//    hammered by plain threads that park on both edges finish under a
+//    hammered by plain threads that park on both edges, and a ping-pong
+//    where only the peer's reply can wake a parked side, finish under a
 //    watchdog, and close()/poison() wake a parked waiter.
 #include <gtest/gtest.h>
 
@@ -34,6 +35,7 @@
 #include "sched/completion.hpp"
 #include "sched/thread_pool.hpp"
 #include "sim/machine.hpp"
+#include "support/backoff.hpp"
 
 namespace parc::flow {
 namespace {
@@ -454,6 +456,56 @@ TEST(FlowChannel, MpmcCapacityOneNeverLosesAWakeup) {
 TEST(FlowChannel, MpmcCapacityTwoNeverLosesAWakeup) {
   Channel<int> ch(ChannelOptions{.capacity = 2});
   stress_park_both_edges(ch);
+}
+
+/// Two plain threads bounce a token through `ping` and `pong` `kRounds`
+/// times. Unlike the streams above, where the next push rescues a waiter
+/// that slept through a wake, only the peer's reply can wake a parked side
+/// here, so one lost wakeup stalls the exchange until the watchdog fires.
+/// Each side replies after a random delay spanning the waiter's spin
+/// budget, so many replies race the waiter's move from spinning to parking;
+/// every 256th reply waits 1 ms, so each side parks even where the spin
+/// phase is slow (TSan).
+void stress_ping_pong(ChannelOptions opts) {
+  constexpr int kRounds = 40000;
+  Channel<int> ping(opts);
+  Channel<int> pong(opts);
+  Watchdog<int> dog(pong, 30s);
+  const auto pause = [](std::minstd_rand& rng, int round) {
+    if (round % 256 == 0) std::this_thread::sleep_for(1ms);
+    for (auto i = rng() % 1024; i > 0; --i) ExponentialBackoff::cpu_relax();
+  };
+  std::thread responder([&] {
+    std::minstd_rand rng(7);
+    int v = 0;
+    while (ping.pop(v)) {
+      pause(rng, v);
+      if (!pong.push(v + 1)) return;
+    }
+  });
+  std::minstd_rand rng(11);
+  int replies = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    int v = -1;
+    if (!ping.push(i) || !pong.pop(v)) break;
+    if (v == i + 1) ++replies;
+    pause(rng, i + 128);
+  }
+  ping.close();
+  responder.join();
+  dog.disarm();
+  EXPECT_FALSE(dog.fired()) << "lost wakeup: the ping-pong stalled for 30 s";
+  EXPECT_EQ(replies, kRounds);
+  EXPECT_GT(ping.stats().consumer_parks, 0u);
+  EXPECT_GT(pong.stats().consumer_parks, 0u);
+}
+
+TEST(FlowChannel, SpscPingPongNeverLosesAWakeup) {
+  stress_ping_pong(ChannelOptions{.capacity = 1, .spsc = true});
+}
+
+TEST(FlowChannel, MpmcPingPongNeverLosesAWakeup) {
+  stress_ping_pong(ChannelOptions{.capacity = 2});
 }
 
 /// Blocks `waiter` on `ch`, waits until it has parked, then runs `release`

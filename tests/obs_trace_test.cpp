@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -16,6 +18,9 @@
 #include <variant>
 #include <vector>
 
+#include "flow/channel.hpp"
+#include "sched/completion.hpp"
+#include "sched/task_graph.hpp"
 #include "sched/thread_pool.hpp"
 
 namespace parc::obs {
@@ -516,6 +521,93 @@ TEST(ObsPairSpans, PairsEndsByIdAndKeepsIncompleteSpans) {
   EXPECT_TRUE(jobs.at(1).has_begin);
   EXPECT_FALSE(jobs.at(1).has_end);
   EXPECT_TRUE(pair_spans(dump, EventKind::kServeExecBegin).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Waiter contract: every blocking primitive that cannot help parks through
+// the one spin-then-park waiter and records one join-wait span per blocked
+// wait, on the waiting thread's own track.
+// ---------------------------------------------------------------------------
+
+/// Runs `wait` on a thread labelled "waiter" inside a trace session, calls
+/// `release` once that thread has had ample time to spin out and park, and
+/// checks the recorded join-wait span.
+void expect_one_park_span(const std::function<void()>& wait,
+                          const std::function<void()>& release) {
+  // Small per-thread buffers: a thread's first event allocates its buffer,
+  // and a large one (slow to allocate under TSan) would stall a channel
+  // waiter, whose first event comes before it spins.
+  TraceSession session(TraceConfig{.events_per_thread = 1024});
+  std::atomic<bool> waiting{false};
+  std::thread waiter([&] {
+    label_thread("waiter");
+    waiting.store(true);
+    wait();
+  });
+  while (!waiting.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  release();
+  waiter.join();
+  const TraceDump dump = session.end();
+
+  const ThreadTrack* track = nullptr;
+  for (const auto& t : dump.tracks) {
+    if (t.name == "waiter") track = &t;
+  }
+  ASSERT_NE(track, nullptr);
+  EXPECT_EQ(dump.count_kind(EventKind::kWaiterPark), 1u);
+  EXPECT_EQ(dump.count_kind(EventKind::kWaiterWake), 1u);
+  const auto spans = pair_spans(dump, EventKind::kWaiterPark);
+  ASSERT_EQ(spans.size(), 1u);
+  const Span& span = spans.begin()->second;
+  EXPECT_TRUE(span.has_begin && span.has_end);
+  EXPECT_LE(span.begin_ns, span.end_ns);
+  EXPECT_EQ(span.begin_tid, track->tid);
+  EXPECT_EQ(span.end_tid, track->tid);
+}
+
+TEST(ObsWaiterTrace, EveryBlockingPrimitiveRecordsOneParkSpan) {
+  if (!kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
+  {
+    SCOPED_TRACE("Completion");
+    sched::Completion done;
+    expect_one_park_span([&] { done.wait(11); }, [&] { done.complete(); });
+  }
+  {
+    SCOPED_TRACE("JoinLatch without a pool");
+    sched::JoinLatch latch;
+    latch.add();
+    expect_one_park_span([&] { latch.wait(nullptr, 12); },
+                         [&] { latch.done(); });
+  }
+  {
+    SCOPED_TRACE("Barrier without a pool");
+    sched::Barrier barrier(2);
+    expect_one_park_span([&] { barrier.arrive_and_wait(); },
+                         [&] { barrier.arrive_and_wait(); });
+  }
+  {
+    SCOPED_TRACE("Sequencer");
+    sched::Sequencer seq(0);
+    expect_one_park_span([&] { seq.wait_for(1, 13); },
+                         [&] { seq.advance(); });
+  }
+  {
+    SCOPED_TRACE("Channel consumer edge");
+    flow::Channel<int> ch(flow::ChannelOptions{.capacity = 2});
+    int got = 0;
+    expect_one_park_span([&] { EXPECT_TRUE(ch.pop(got)); },
+                         [&] { EXPECT_TRUE(ch.push(1)); });
+  }
+  {
+    SCOPED_TRACE("Channel producer edge");
+    flow::Channel<int> ch(flow::ChannelOptions{.capacity = 2, .spsc = true});
+    EXPECT_TRUE(ch.push(1));
+    EXPECT_TRUE(ch.push(2));
+    int got = 0;
+    expect_one_park_span([&] { EXPECT_TRUE(ch.push(3)); },
+                         [&] { EXPECT_TRUE(ch.pop(got)); });
+  }
 }
 
 }  // namespace

@@ -5,12 +5,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <numeric>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "gui/event_loop.hpp"
 
 namespace parc::ptask {
 namespace {
+
+using namespace std::chrono_literals;
 
 Runtime& test_runtime() {
   static Runtime rt(Runtime::Config{4, {}});
@@ -89,6 +98,47 @@ TEST(Pipeline, MoveOnlyFriendlyPayloads) {
   auto t = pipeline(test_runtime(), inputs,
                     [](std::string s) { return s.size(); });
   EXPECT_EQ(t.get(), (std::vector<std::size_t>{1, 2, 3}));
+}
+
+TEST(Pipeline, OptionalResultsStayMapped) {
+  // A stage returning std::optional is a map like any other: empty results
+  // are delivered, not filtered out.
+  std::vector<int> inputs{1, 2, 3, 4};
+  auto t = pipeline(test_runtime(), inputs, [](int x) {
+    return x % 2 == 0 ? std::optional<int>(x) : std::nullopt;
+  });
+  EXPECT_EQ(t.get(), (std::vector<std::optional<int>>{std::nullopt, 2,
+                                                      std::nullopt, 4}));
+}
+
+TEST(Pipeline, StageErrorRethrowsFromGet) {
+  // The first stage throws on element 0. 10k inputs overflow every
+  // 256-slot edge, so unless the error ends the whole chain, the feeder
+  // blocks forever on a full edge and get() never returns: the watchdog
+  // turns that hang into a failure.
+  std::vector<int> inputs(10000);
+  std::iota(inputs.begin(), inputs.end(), 0);
+  auto t = pipeline(
+      test_runtime(), inputs,
+      [](int x) {
+        if (x == 0) throw std::runtime_error("stage failed");
+        return x;
+      },
+      [](int x) { return x + 1; });
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (!t.ready()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr, "watchdog: pipeline still running after 30 s\n");
+      std::abort();
+    }
+    std::this_thread::sleep_for(1ms);
+  }
+  try {
+    (void)t.get();
+    ADD_FAILURE() << "get() must rethrow the stage's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "stage failed");
+  }
 }
 
 TEST(ProgressChannel, DeliversEverythingInBatches) {

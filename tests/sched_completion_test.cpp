@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -305,6 +308,48 @@ TEST(Sequencer, EnforcesTicketOrder) {
     EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
   }
   EXPECT_EQ(seq.current(), kTickets);
+}
+
+// The park phase's ordering rule, forced deterministically. The predicate
+// plays a publisher that lands between the waiter's re-check and its futex
+// wait: on its first call it publishes (bumps the word and notifies) yet
+// reports "not ready", as a re-check that read just before the publication
+// would. Snapshotting the word before the re-check makes the wait see the
+// bump and return; a waiter that re-checked first would sleep on the bumped
+// value with no wake to come. A rescue thread turns that hang into a
+// failure. (flow_test's ping-pong stress tests hit the same race only by
+// chance.)
+TEST(ParkUntil, PublishBetweenRecheckAndWaitIsNotLost) {
+  std::atomic<std::uint32_t> word{0};
+  bool published = false;
+  const auto ready = [&] {
+    if (published) return true;
+    published = true;
+    word.fetch_add(1, std::memory_order_release);
+    word.notify_all();
+    return false;
+  };
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  bool rescued = false;
+  std::thread rescue([&] {
+    std::unique_lock lock(mu);
+    if (cv.wait_for(lock, std::chrono::seconds(10), [&] { return done; })) {
+      return;
+    }
+    rescued = true;
+    word.fetch_add(1, std::memory_order_release);
+    word.notify_all();
+  });
+  detail::park_until(word, ready, 0, 0);
+  {
+    std::scoped_lock lock(mu);
+    done = true;
+  }
+  cv.notify_all();
+  rescue.join();
+  EXPECT_FALSE(rescued) << "the waiter slept through a publication";
 }
 
 }  // namespace

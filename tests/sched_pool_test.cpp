@@ -135,9 +135,9 @@ TEST(WorkStealingPool, ParkAndWakeCycleSurvives) {
   }
 }
 
-TEST(TaskLatch, WaitsForAllCompletions) {
+TEST(JoinLatch, HelpingWaitSeesAllCompletions) {
   WorkStealingPool pool(WorkStealingPool::Config{2, 4, "t"});
-  TaskLatch latch(pool);
+  JoinLatch latch;
   std::atomic<int> done{0};
   constexpr int kJobs = 100;
   latch.add(kJobs);
@@ -147,7 +147,7 @@ TEST(TaskLatch, WaitsForAllCompletions) {
       latch.done();
     });
   }
-  latch.wait();
+  latch.wait(&pool);
   EXPECT_EQ(done.load(), kJobs);
   EXPECT_TRUE(latch.idle());
 }

@@ -204,9 +204,9 @@ TEST(Barrier, PlainThreadsParkAndCycle) {
   EXPECT_EQ(checksum.load(), static_cast<int>(kParties) * kCycles);
 }
 
-TEST(TaskLatch, WrapperStillWaitsByHelping) {
-  WorkStealingPool pool({2, 4, "tl-wrap"});
-  TaskLatch latch(pool);
+TEST(JoinLatch, PoolWaitRunsEveryJob) {
+  WorkStealingPool pool({2, 4, "jl-pool"});
+  JoinLatch latch;
   std::atomic<int> ran{0};
   latch.add(8);
   for (int i = 0; i < 8; ++i) {
@@ -215,7 +215,7 @@ TEST(TaskLatch, WrapperStillWaitsByHelping) {
       latch.done();
     });
   }
-  latch.wait();
+  latch.wait(&pool);
   EXPECT_EQ(ran.load(), 8);
   EXPECT_TRUE(latch.idle());
 }
