@@ -5,9 +5,10 @@
 //
 //  - SPSC fast path (`ChannelOptions::spsc`): a Lamport ring — producer owns
 //    `tail`, consumer owns `head`, each side caches the other's index so the
-//    steady state is one release store per op and *zero* lock-prefixed RMWs:
-//    `pushed_` is producer-owned and `popped_` consumer-owned, each bumped
-//    with a plain relaxed load+store. For single-producer/single-consumer
+//    steady state is one release store per op (per run for the batched
+//    calls), no fence and *zero* lock-prefixed RMWs: `pushed_` is
+//    producer-owned and `popped_` consumer-owned, each bumped with a plain
+//    relaxed load+store. For single-producer/single-consumer
 //    edges (pipeline stages, the serve ingress thread feeding itself).
 //  - MPMC striped variant: `stripes` independent Vyukov per-slot-sequence
 //    subrings (the conc::MpmcRing protocol); each thread starts its sweep at
@@ -33,22 +34,45 @@
 // `sleepers` handshake): each edge has an epoch word and a parked-waiter
 // count (`not_empty_` for consumers, `not_full_` for producers).
 //
-//  - A parker increments the edge's waiter count (seq_cst) and issues a
-//    StoreLoad barrier *before* it snapshots the epoch and re-checks the
-//    ring; it decrements the count once it stops waiting.
-//  - A successful push publishes its slot, issues a StoreLoad barrier and
-//    reads `not_empty_`'s waiter count; only if it is non-zero does it bump
-//    that edge's epoch and notify_all. Pops do the same on the other edge.
+//  - A parker increments the edge's waiter count (seq_cst) and issues the
+//    heavy StoreLoad barrier *before* it snapshots the epoch and re-checks
+//    the ring; it decrements the count once it stops waiting.
+//  - A publish (a push, or a batch of them) stores its slots, issues the
+//    light StoreLoad barrier and reads `not_empty_`'s waiter count; only if
+//    it is non-zero does it bump that edge's epoch and notify_all. Pops do
+//    the same on the other edge.
 //
 // This is a Dekker handshake: either the publisher's waiter read sees the
 // parker (→ it bumps and notifies), or the parker's re-check sees the
-// published slot (→ it never waits). A parker that snapshotted the epoch
-// before a bump falls through std::atomic::wait, which re-checks the value.
-// Gating matters because libstdc++ keys its waiter table by
-// `(addr >> 2) % 16`, so every cache-line-aligned epoch shares bucket 0: an
-// unconditional notify_all took a FUTEX_WAKE syscall on every op whenever
-// *any* channel in the process had a parked waiter. close()/poison() and
-// discard_all() still bump and notify unconditionally.
+// published slot (→ it never waits). The barrier pair is asymmetric
+// (support/asymmetric_barrier.hpp): publishers run on every op and parkers
+// about once per thousand elements, so the parker pays a process-wide
+// membarrier and the publisher's barrier is only a compiler barrier. The
+// constructor reads the process's barrier mode once, so both sides of a
+// channel agree on it; where membarrier is unavailable both sides issue a
+// seq_cst fence, and under TSan (which does not model fences) both RMW the
+// waiter count with seq_cst, whose modification order suffices.
+//
+// A parker that snapshotted the epoch before a bump falls through
+// std::atomic::wait, which re-checks the value. Gating matters because
+// libstdc++ keys its waiter table by `(addr >> 2) % 16`, so every
+// cache-line-aligned epoch shares bucket 0: an unconditional notify_all
+// took a FUTEX_WAKE syscall on every op whenever *any* channel in the
+// process had a parked waiter. close()/poison() and discard_all() still
+// bump and notify unconditionally.
+//
+// Batches. try_pop_n takes the run of buffered slots in one go: on SPSC it
+// reads the producer's index once, moves the run, publishes the consumer
+// index with one release store, bumps `popped` once and makes one wake
+// check (MPMC still claims slot by slot, then counts and wakes once).
+// push_n publishes each run of free slots the same way. pop_n blocks for
+// the first element and then try_pop_n's the rest. Single-consumer
+// pipeline stages drain their inbox this way; replicated stages take one
+// element at a time, so a replica never hoards work its siblings could
+// run. Under a live trace a batch still emits one kChanPush/kChanPop per
+// element. `ChannelStats::popped` counts elements taken out of the ring by
+// a consumer, whether or not it went on to use them: a stage that exits on
+// error drops the rest of its batch, as it drops its one in-hand element.
 //
 // close()/poison():
 //  - close() is the graceful end-of-stream: pushes are rejected, consumers
@@ -78,9 +102,9 @@
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "sched/chase_lev_deque.hpp"  // detail::kTsanBuild
 #include "sched/completion.hpp"
 #include "sched/thread_pool.hpp"
+#include "support/asymmetric_barrier.hpp"
 #include "support/backoff.hpp"
 #include "support/check.hpp"
 
@@ -108,7 +132,7 @@ struct ChannelOptions {
 /// approximate while ops are in flight.
 struct ChannelStats {
   std::uint64_t pushed = 0;
-  std::uint64_t popped = 0;
+  std::uint64_t popped = 0;    ///< taken out of the ring by a consumer
   std::uint64_t dropped = 0;   ///< discarded by poison/discard_all
   std::uint64_t producer_blocks = 0;  ///< pushes that entered the slow path
   std::uint64_t consumer_blocks = 0;  ///< pops that entered the slow path
@@ -120,9 +144,10 @@ struct ChannelStats {
   std::uint64_t consumer_blocked_ns = 0;  ///< wall time spent empty-blocked
   /// Max occupancy observed by a push, never above capacity. MPMC: from the
   /// counters on every push. SPSC: from the ring indices each time the
-  /// producer re-reads the consumer's head — when its cached view looks
-  /// full and on every 64th push — so a fast consumer shows a low mark;
-  /// stats() also folds in the current occupancy.
+  /// producer re-reads the consumer's head — when its cached view has no
+  /// room for the push (or push_n run) and on every 64th single push — so a
+  /// fast consumer shows a low mark; stats() also folds in the current
+  /// occupancy.
   std::uint64_t high_water = 0;
   std::size_t occupancy = 0;
   std::size_t capacity = 0;
@@ -161,7 +186,9 @@ class Channel {
 
  public:
   explicit Channel(ChannelOptions opts = {})
-      : spsc_(opts.spsc), id_(detail::next_channel_id()) {
+      : spsc_(opts.spsc),
+        expedited_(asymmetric_barrier_expedited()),
+        id_(detail::next_channel_id()) {
     PARC_CHECK(opts.capacity > 0);
     if (spsc_) {
       const std::size_t cap = detail::ceil_pow2(opts.capacity);
@@ -284,31 +311,54 @@ class Channel {
 
   // ---- batched ----
 
-  /// Push every element (blocking); returns how many landed — short only
-  /// when the channel closed under us.
+  /// Push every element (blocking), one publish per run of free slots;
+  /// returns how many landed — short only when the channel closed under us.
   std::size_t push_n(std::span<T> items) {
-    std::size_t n = 0;
-    for (T& v : items) {
-      if (!push(std::move(v))) break;
-      ++n;
+    std::size_t done = 0;
+    while (done < items.size()) {
+      std::size_t n = 0;
+      const auto attempt = [&] {
+        return try_push_run(items.subspan(done), n);
+      };
+      PushResult r = attempt();
+      if (r == PushResult::full) {
+        r = block(PushResult::full, not_full_, producer_, 0, attempt);
+      }
+      if (r != PushResult::ok) break;
+      done += n;
     }
+    return done;
+  }
+
+  /// Take up to `max` buffered elements without blocking, appending them to
+  /// `out`. Returns the count; 0 when empty, closed-and-drained, or
+  /// poisoned (the buffered elements are then discarded and counted as
+  /// dropped, as try_pop does).
+  std::size_t try_pop_n(std::vector<T>& out, std::size_t max) {
+    if (max == 0) return 0;
+    if (poisoned_.load(std::memory_order_acquire)) {
+      discard_all();
+      return 0;
+    }
+    std::size_t n = ring_try_pop_n(out, max);
+    // Belt-and-braces, as in try_pop: a push that raced close() may have
+    // landed between our sweep and the flag load.
+    if (n == 0 && closed_.load(std::memory_order_acquire)) {
+      n = ring_try_pop_n(out, max);
+    }
+    if (n != 0) after_pop(n);
     return n;
   }
 
-  /// Block for at least one element (or close), then greedily take up to
-  /// `max` without further blocking. Returns the count appended to `out`;
+  /// Block for at least one element (or close), then take up to `max` in
+  /// all without further blocking. Returns the count appended to `out`;
   /// 0 means closed-and-drained.
   std::size_t pop_n(std::vector<T>& out, std::size_t max) {
     if (max == 0) return 0;
     T v;
     if (!pop(v)) return 0;
     out.push_back(std::move(v));
-    std::size_t n = 1;
-    while (n < max && try_pop(v) == PopResult::ok) {
-      out.push_back(std::move(v));
-      ++n;
-    }
-    return n;
+    return 1 + try_pop_n(out, max - 1);
   }
 
   // ---- lifecycle ----
@@ -497,6 +547,53 @@ class Channel {
     return false;
   }
 
+  /// Move as many of `items` into the ring as fit; SPSC publishes them with
+  /// one tail store. Returns the count moved.
+  std::size_t ring_try_push_n(std::span<T> items) {
+    if (!spsc_) {
+      std::size_t n = 0;
+      while (n < items.size() && ring_try_push(items[n])) ++n;
+      return n;
+    }
+    const std::size_t t = tail_.load(std::memory_order_relaxed);
+    if (t + items.size() - head_cache_ > capacity_) {
+      head_cache_ = head_.load(std::memory_order_acquire);
+      raise_high_water(std::min<std::uint64_t>(
+          t - head_cache_ + items.size(), capacity_));
+    }
+    const std::size_t n =
+        std::min(items.size(), capacity_ - (t - head_cache_));
+    for (std::size_t i = 0; i < n; ++i) {
+      slots_[(t + i) & mask_] = std::move(items[i]);
+    }
+    if (n != 0) tail_.store(t + n, std::memory_order_release);
+    return n;
+  }
+
+  /// Append up to `max` buffered elements to `out`; SPSC reads the
+  /// producer's index at most once and frees the run with one head store.
+  std::size_t ring_try_pop_n(std::vector<T>& out, std::size_t max) {
+    if (!spsc_) {
+      std::size_t n = 0;
+      T v;
+      while (n < max && ring_try_pop(v)) {
+        out.push_back(std::move(v));
+        ++n;
+      }
+      return n;
+    }
+    const std::size_t h = head_.load(std::memory_order_relaxed);
+    if (tail_cache_ - h < max) {
+      tail_cache_ = tail_.load(std::memory_order_acquire);
+    }
+    const std::size_t n = std::min(max, tail_cache_ - h);
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back(std::move(slots_[(h + i) & mask_]));
+    }
+    if (n != 0) head_.store(h + n, std::memory_order_release);
+    return n;
+  }
+
   /// Counter-derived occupancy for `in` pushes, clamped to [0, capacity]:
   /// each side bumps its counter after its ring op, so the raw difference
   /// can be off by the ops in flight.
@@ -516,21 +613,21 @@ class Channel {
 
   /// Bump a counter only its owning side writes: a plain load+store, no
   /// lock-prefixed RMW (readers tolerate a stale value).
-  static void bump_owned(std::atomic<std::uint64_t>& c) noexcept {
-    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  static void bump_owned(std::atomic<std::uint64_t>& c,
+                         std::uint64_t n) noexcept {
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
   }
 
   /// Publisher half of the wakeup handshake, called after the ring op has
-  /// published: StoreLoad barrier, then wake the edge only if a waiter has
-  /// registered. Under TSan (which does not model fences, and which GCC's
-  /// -Wtsan rejects) the barrier is a seq_cst RMW on the waiter count, the
-  /// same location the parker increments.
-  static void wake_if_parked(Edge& edge) noexcept {
+  /// published: the light StoreLoad barrier, then wake the edge only if a
+  /// waiter has registered. Under TSan the barrier is a seq_cst RMW on the
+  /// waiter count, the same location the parker increments.
+  void wake_if_parked(Edge& edge) const noexcept {
     std::uint32_t parked;
-    if constexpr (sched::detail::kTsanBuild) {
+    if constexpr (kTsanBuild) {
       parked = edge.waiters.fetch_add(0, std::memory_order_seq_cst);
     } else {
-      std::atomic_thread_fence(std::memory_order_seq_cst);
+      light_barrier(expedited_);
       parked = edge.waiters.load(std::memory_order_relaxed);
     }
     if (parked != 0) wake(edge);
@@ -541,29 +638,53 @@ class Channel {
     edge.epoch.notify_all();
   }
 
-  void after_push() noexcept {
+  /// Account for `n` published pushes: one counter bump, one wake check,
+  /// and under a live trace one kChanPush per element, each carrying the
+  /// occupancy that element's push left.
+  void after_push(std::size_t n = 1) noexcept {
     if (spsc_) {
-      bump_owned(pushed_);
+      bump_owned(pushed_, n);
     } else {
       raise_high_water(clamped_occupancy(
-          pushed_.fetch_add(1, std::memory_order_relaxed) + 1));
+          pushed_.fetch_add(n, std::memory_order_relaxed) + n));
     }
     wake_if_parked(not_empty_);
     if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kChanPush, id_, occupancy());
+      const std::size_t occ = occupancy();
+      for (std::size_t i = n; i-- > 0;) {
+        obs::emit(obs::EventKind::kChanPush, id_, occ > i ? occ - i : 0);
+      }
     }
   }
 
-  void after_pop() noexcept {
+  /// The consumer-side twin of after_push for `n` taken elements.
+  void after_pop(std::size_t n = 1) noexcept {
     if (spsc_) {
-      bump_owned(popped_);
+      bump_owned(popped_, n);
     } else {
-      popped_.fetch_add(1, std::memory_order_relaxed);
+      popped_.fetch_add(n, std::memory_order_relaxed);
     }
     wake_if_parked(not_full_);
     if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kChanPop, id_, occupancy());
+      const std::size_t occ = occupancy();
+      for (std::size_t i = n; i-- > 0;) {
+        obs::emit(obs::EventKind::kChanPop, id_,
+                  std::min(occ + i, capacity_));
+      }
     }
+  }
+
+  /// try_push for a run: closed, full (nothing moved) or ok with `n` > 0
+  /// elements published.
+  PushResult try_push_run(std::span<T> items, std::size_t& n) {
+    if (closed_.load(std::memory_order_acquire)) return PushResult::closed;
+    n = ring_try_push_n(items);
+    if (n == 0) {
+      return closed_.load(std::memory_order_acquire) ? PushResult::closed
+                                                     : PushResult::full;
+    }
+    after_push(n);
+    return PushResult::ok;
   }
 
   /// The blocking half of push (producer side, parked on not_full_) and pop
@@ -590,14 +711,12 @@ class Channel {
       pool->help_while([&] { return !ready(); });
     } else if (!sched::detail::spin_until(ready)) {
       // Register before the park phase's first epoch snapshot and ring
-      // re-check. The fence pairs with the publisher's: the re-check's
-      // loads are only acquire, so the increment alone would not order them
-      // after it. Under TSan both sides RMW the same word, whose
-      // modification order suffices.
+      // re-check. The heavy barrier pairs with the publisher's light one:
+      // the re-check's loads are only acquire, so the increment alone would
+      // not order them after it. Under TSan both sides RMW the same word,
+      // whose modification order suffices.
       edge.waiters.fetch_add(1, std::memory_order_seq_cst);
-      if constexpr (!sched::detail::kTsanBuild) {
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-      }
+      if constexpr (!kTsanBuild) heavy_barrier(expedited_);
       sched::detail::park_until(edge.epoch, ready, id_, side,
                                 &side_stats.parks);
       edge.waiters.fetch_sub(1, std::memory_order_relaxed);
@@ -621,6 +740,9 @@ class Channel {
   }
 
   const bool spsc_;
+  /// Barrier mode (asymmetric_barrier_expedited), fixed at construction so
+  /// publishers and parkers always pair the same barriers.
+  const bool expedited_;
   const std::uint64_t id_;
   std::size_t capacity_ = 0;
 

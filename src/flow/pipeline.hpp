@@ -31,6 +31,12 @@
 // batches and fans each batch out to the scheduler via submit_n with
 // shard-affine routing (PR 6), preserving order.
 //
+// Batched consume: a single-replica stage thread, the collector and a
+// one-thread for_each sink drain their inbox with pop_n(kDrainBatch), so
+// the channel's head publish, counter bump and wake check are paid once per
+// run of buffered elements. Replicas take one element at a time, so none
+// hoards work a sibling could run.
+//
 // Error propagation: a throwing stage captures the first error
 // (sched::FirstError), poisons both its channels, and the poison cascades —
 // upstream pushes fail and poison their own inboxes, downstream consumers
@@ -114,6 +120,14 @@ struct PipelineStats {
 };
 
 namespace detail {
+
+/// Most elements a single consumer takes from its inbox per pop_n.
+inline constexpr std::size_t kDrainBatch = 64;
+
+/// Elements per pop_n for one of `par` consumers of a shared inbox.
+inline std::size_t drain_batch(std::size_t par) {
+  return par == 1 ? kDrainBatch : 1;
+}
 
 template <typename T>
 struct emit_of {
@@ -246,21 +260,25 @@ void start_stage(const std::shared_ptr<PipelineCore>& core,
     auto rf = factory();  // private callable state per replica
     std::string label = par > 1 ? name + "-" + std::to_string(r) : name;
     core->threads.emplace_back([core, in, out, rf = std::move(rf),
-                                remaining, batch, shard_opt, stage_index,
+                                remaining, par, batch, shard_opt, stage_index,
                                 label = std::move(label)]() mutable {
       obs::label_thread(label);
       bool clean = true;
       try {
         if (batch == 0) {
-          H item;
-          while (in->pop(item)) {
-            auto res = rf.fn(std::move(item));
-            if (res && !out->push(std::move(*res))) {
-              // Downstream closed under us: stop feeding, stop upstream.
-              in->poison();
-              clean = false;
-              break;
+          const std::size_t take = drain_batch(par);
+          std::vector<H> items;
+          while (clean && in->pop_n(items, take) != 0) {
+            for (H& item : items) {
+              auto res = rf.fn(std::move(item));
+              if (res && !out->push(std::move(*res))) {
+                // Downstream closed under us: stop feeding, stop upstream.
+                in->poison();
+                clean = false;
+                break;
+              }
             }
+            items.clear();
           }
         } else {
           auto* pool = core->opts.pool;
@@ -331,8 +349,8 @@ void start_collect(const std::shared_ptr<PipelineCore>& core,
   core->threads.emplace_back([core, in, results] {
     obs::label_thread("flow-collect");
     try {
-      C v;
-      while (in->pop(v)) results->push_back(std::move(v));
+      while (in->pop_n(*results, kDrainBatch) != 0) {
+      }
     } catch (...) {
       core->error.capture(std::current_exception());
       in->poison();
@@ -348,11 +366,15 @@ void start_for_each(const std::shared_ptr<PipelineCore>& core,
   core->sinks.push_back(
       {"for_each", par, [in] { return in->stats(); }});
   for (std::size_t r = 0; r < par; ++r) {
-    core->threads.emplace_back([core, in, sink]() mutable {
+    core->threads.emplace_back([core, in, sink, par]() mutable {
       obs::label_thread("flow-sink");
       try {
-        C v;
-        while (in->pop(v)) sink(std::move(v));
+        const std::size_t take = drain_batch(par);
+        std::vector<C> items;
+        while (in->pop_n(items, take) != 0) {
+          for (C& v : items) sink(std::move(v));
+          items.clear();
+        }
       } catch (...) {
         core->error.capture(std::current_exception());
         in->poison();

@@ -19,29 +19,17 @@
 #include <memory>
 #include <vector>
 
+#include "support/asymmetric_barrier.hpp"
 #include "support/backoff.hpp"
 #include "support/check.hpp"
 
 // ThreadSanitizer does not model standalone std::atomic_thread_fence, so the
 // published fence-based orderings produce false positives under TSan. When
-// compiling instrumented, strengthen the per-atomic orderings to carry the
-// same happens-before edges directly (slower, but only in sanitizer builds).
-#if defined(__SANITIZE_THREAD__)
-#define PARC_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PARC_TSAN 1
-#endif
-#endif
-#ifndef PARC_TSAN
-#define PARC_TSAN 0
-#endif
+// compiling instrumented (kTsanBuild, support/asymmetric_barrier.hpp),
+// strengthen the per-atomic orderings to carry the same happens-before edges
+// directly (slower, but only in sanitizer builds).
 
 namespace parc::sched {
-
-namespace detail {
-inline constexpr bool kTsanBuild = PARC_TSAN != 0;
-}  // namespace detail
 
 template <typename T>
 class ChaseLevDeque {
@@ -66,7 +54,7 @@ class ChaseLevDeque {
       ring = grow(ring, t, b);
     }
     ring->put(b, item);
-    if constexpr (detail::kTsanBuild) {
+    if constexpr (kTsanBuild) {
       bottom_.store(b + 1, std::memory_order_release);
     } else {
       std::atomic_thread_fence(std::memory_order_release);
@@ -79,7 +67,7 @@ class ChaseLevDeque {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
     Ring* ring = buffer_.load(std::memory_order_relaxed);
     std::int64_t t;
-    if constexpr (detail::kTsanBuild) {
+    if constexpr (kTsanBuild) {
       bottom_.store(b, std::memory_order_seq_cst);
       t = top_.load(std::memory_order_seq_cst);
     } else {
@@ -116,7 +104,7 @@ class ChaseLevDeque {
     if (empty_approx()) return nullptr;
     std::int64_t t;
     std::int64_t b;
-    if constexpr (detail::kTsanBuild) {
+    if constexpr (kTsanBuild) {
       t = top_.load(std::memory_order_seq_cst);
       b = bottom_.load(std::memory_order_seq_cst);
     } else {

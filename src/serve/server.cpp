@@ -149,11 +149,8 @@ Server::Outcome Server::offer(const Request& req) {
 void Server::seal_batch(std::size_t shard) {
   flow::Channel<ExecItem>& chan = *ingress_[shard];
   seal_scratch_.clear();
-  ExecItem item;
-  while (chan.try_pop(item) == flow::PopResult::ok) {
-    seal_scratch_.push_back(item);
-  }
-  if (seal_scratch_.empty()) return;
+  // One run: one head publish and one wake check per sealed batch.
+  if (chan.try_pop_n(seal_scratch_, chan.capacity()) == 0) return;
   ++batches_sealed_;
   if (obs::tracing()) [[unlikely]] {
     obs::emit(obs::EventKind::kServeBatch, batches_sealed_,

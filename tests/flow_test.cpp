@@ -13,7 +13,11 @@
 //  - the waiter-gated wakeup never loses a wakeup: capacity-1/2 channels
 //    hammered by plain threads that park on both edges, and a ping-pong
 //    where only the peer's reply can wake a parked side, finish under a
-//    watchdog, and close()/poison() wake a parked waiter.
+//    watchdog, and close()/poison() wake a parked waiter;
+//  - batched push_n/try_pop_n/pop_n keep FIFO across the ring's wrap point
+//    and conserve exactly, also under a two-thread stress and a stage that
+//    throws in the middle of a batch; a trace still has one pop per push;
+//  - the asymmetric barrier pair forbids the store-buffering outcome.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,7 +39,9 @@
 #include "sched/completion.hpp"
 #include "sched/thread_pool.hpp"
 #include "sim/machine.hpp"
+#include "support/asymmetric_barrier.hpp"
 #include "support/backoff.hpp"
+#include "support/clock.hpp"
 
 namespace parc::flow {
 namespace {
@@ -119,17 +125,29 @@ TEST(FlowChannel, CloseDrainsBufferedThenReportsClosed) {
 }
 
 TEST(FlowChannel, PoisonDropsAndCountsBuffered) {
-  Channel<int> ch(ChannelOptions{.capacity = 8});
-  for (int i = 0; i < 6; ++i) EXPECT_TRUE(ch.push(i));
-  ch.poison();
-  int out;
-  EXPECT_EQ(ch.try_pop(out), PopResult::closed) << "poison discards, not drains";
-  const ChannelStats s = ch.stats();
-  EXPECT_TRUE(s.poisoned);
-  EXPECT_EQ(s.pushed, 6u);
-  EXPECT_EQ(s.popped, 0u);
-  EXPECT_EQ(s.dropped, 6u);
-  expect_conserved(s);
+  for (const bool spsc : {false, true}) {
+    for (const bool batched : {false, true}) {
+      Channel<int> ch(ChannelOptions{.capacity = 8, .spsc = spsc});
+      for (int i = 0; i < 6; ++i) EXPECT_TRUE(ch.push(i));
+      ch.poison();
+      if (batched) {
+        std::vector<int> out;
+        EXPECT_EQ(ch.try_pop_n(out, 4), 0u) << "poison discards, not drains";
+        EXPECT_EQ(ch.pop_n(out, 4), 0u);
+        EXPECT_TRUE(out.empty());
+      } else {
+        int out;
+        EXPECT_EQ(ch.try_pop(out), PopResult::closed)
+            << "poison discards, not drains";
+      }
+      const ChannelStats s = ch.stats();
+      EXPECT_TRUE(s.poisoned);
+      EXPECT_EQ(s.pushed, 6u);
+      EXPECT_EQ(s.popped, 0u);
+      EXPECT_EQ(s.dropped, 6u);
+      expect_conserved(s);
+    }
+  }
 }
 
 TEST(FlowChannel, PushNAndPopNMoveBatches) {
@@ -148,6 +166,53 @@ TEST(FlowChannel, PushNAndPopNMoveBatches) {
   for (int i = 0; i < 20; ++i) EXPECT_EQ(out[i], i);
   ch.close();
   EXPECT_EQ(ch.pop_n(out, 7), 0u) << "0 means closed-and-drained";
+}
+
+/// Walks both ring indices to three slots before the wrap point, then fills
+/// the ring with push_n and drains it with try_pop_n/pop_n, refilling in
+/// between, so every run straddles the wrap: the output must be the input
+/// in order.
+void expect_batches_fifo_across_wrap(ChannelOptions opts) {
+  Channel<int> ch(opts);
+  const int cap = static_cast<int>(ch.capacity());
+  int next = 0;
+  std::vector<int> out;
+  for (; next < cap - 3; ++next) {
+    int v = next;
+    ASSERT_EQ(ch.try_push(v), PushResult::ok);
+    ASSERT_EQ(ch.try_pop_n(out, 4), 1u);
+  }
+  std::vector<int> in(static_cast<std::size_t>(cap));
+  std::iota(in.begin(), in.end(), next);
+  next += cap;
+  ASSERT_EQ(ch.push_n(std::span<int>(in)), in.size());
+  EXPECT_EQ(ch.try_pop_n(out, 5), 5u);
+  std::iota(in.begin(), in.begin() + 5, next);
+  next += 5;
+  ASSERT_EQ(ch.push_n(std::span<int>(in.data(), 5)), 5u);
+  std::size_t left = in.size();
+  while (left > 0) {
+    const std::size_t n = ch.pop_n(out, 3);
+    ASSERT_GT(n, 0u);
+    left -= n;
+  }
+  EXPECT_EQ(ch.try_pop_n(out, 4), 0u) << "empty";
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(next));
+  for (int i = 0; i < next; ++i) ASSERT_EQ(out[i], i) << "FIFO broken at " << i;
+  ch.close();
+  EXPECT_EQ(ch.pop_n(out, 3), 0u) << "0 means closed-and-drained";
+  const ChannelStats s = ch.stats();
+  EXPECT_EQ(s.popped, static_cast<std::uint64_t>(next));
+  EXPECT_LE(s.high_water, s.capacity);
+  expect_conserved(s);
+}
+
+TEST(FlowChannel, SpscBatchesKeepFifoAcrossTheWrap) {
+  expect_batches_fifo_across_wrap(ChannelOptions{.capacity = 8, .spsc = true});
+}
+
+TEST(FlowChannel, MpmcBatchesKeepFifoAcrossTheWrap) {
+  expect_batches_fifo_across_wrap(ChannelOptions{.capacity = 8});
 }
 
 TEST(FlowChannel, TryPopUntilHonorsDeadline) {
@@ -456,6 +521,72 @@ TEST(FlowChannel, MpmcCapacityOneNeverLosesAWakeup) {
 TEST(FlowChannel, MpmcCapacityTwoNeverLosesAWakeup) {
   Channel<int> ch(ChannelOptions{.capacity = 2});
   stress_park_both_edges(ch);
+}
+
+/// The batched twin of stress_park_both_edges: the producer push_n's runs
+/// of random length and the consumer pop_n's with a random limit, both
+/// pausing now and then so the other side parks. Every element must arrive
+/// once and in order.
+void stress_batches(ChannelOptions opts) {
+  constexpr int kItems = 100000, kPauseEvery = 5000;
+  Channel<int> ch(opts);
+  Watchdog<int> dog(ch, 30s);
+  std::atomic<int> order_errors{0};
+  std::atomic<int> received{0};
+  std::thread producer([&] {
+    std::minstd_rand rng(3);
+    std::vector<int> run;
+    for (int i = 0; i < kItems;) {
+      const int n = std::min<int>(kItems - i, 1 + static_cast<int>(rng() % 97));
+      run.resize(static_cast<std::size_t>(n));
+      std::iota(run.begin(), run.end(), i);
+      if (i / kPauseEvery != (i + n) / kPauseEvery) {
+        std::this_thread::sleep_for(1ms);
+      }
+      if (ch.push_n(std::span<int>(run)) != run.size()) return;
+      i += n;
+    }
+    ch.close();
+  });
+  std::thread consumer([&] {
+    std::minstd_rand rng(5);
+    std::vector<int> got;
+    int expect = 0;
+    for (;;) {
+      got.clear();
+      if (ch.pop_n(got, 1 + rng() % 97) == 0) break;
+      for (const int v : got) {
+        if (v != expect) order_errors.fetch_add(1);
+        ++expect;
+      }
+      if ((expect - static_cast<int>(got.size())) / kPauseEvery !=
+          expect / kPauseEvery) {
+        std::this_thread::sleep_for(1ms);
+      }
+      received.fetch_add(static_cast<int>(got.size()));
+    }
+  });
+  producer.join();
+  consumer.join();
+  dog.disarm();
+  EXPECT_FALSE(dog.fired()) << "lost wakeup: threads stuck for 30 s";
+  EXPECT_EQ(received.load(), kItems);
+  EXPECT_EQ(order_errors.load(), 0);
+  const ChannelStats s = ch.stats();
+  EXPECT_EQ(s.pushed, static_cast<std::uint64_t>(kItems));
+  EXPECT_EQ(s.popped, static_cast<std::uint64_t>(kItems));
+  EXPECT_LE(s.high_water, s.capacity);
+  expect_conserved(s);
+}
+
+TEST(FlowChannel, SpscBatchedStressConservesAndKeepsOrder) {
+  stress_batches(ChannelOptions{.capacity = 2, .spsc = true});
+  stress_batches(ChannelOptions{.capacity = 1024, .spsc = true});
+}
+
+TEST(FlowChannel, MpmcBatchedStressConservesAndKeepsOrder) {
+  stress_batches(ChannelOptions{.capacity = 2});
+  stress_batches(ChannelOptions{.capacity = 1024});
 }
 
 /// Two plain threads bounce a token through `ping` and `pong` `kRounds`
@@ -802,6 +933,40 @@ TEST(FlowPipeline, ThrowingStagePoisonsAndWaitRethrows) {
   expect_conserved(p.source_stats());
 }
 
+TEST(FlowPipeline, StageThrowingMidBatchRethrowsAndConservesEveryChannel) {
+  // The stage holds element 0 until 200 more are buffered in its inbox, so
+  // its later pop_n runs are full batches and element 100 sits mid-batch.
+  std::atomic<bool> buffered{false};
+  auto p = pipeline<int>(PipelineOptions{.capacity = 256,
+                                         .single_producer = true})
+               .then(stage([&buffered](int x) {
+                 while (x == 0 && !buffered.load()) {
+                   std::this_thread::sleep_for(1ms);
+                 }
+                 if (x == 100) throw std::runtime_error("boom at 100");
+                 return x;
+               }))
+               .then(stage([](int x) { return x * 2; }))
+               .collect();
+  std::vector<int> in(201);
+  std::iota(in.begin(), in.end(), 0);
+  ASSERT_EQ(p.push_n(std::span<int>(in)), in.size());
+  buffered.store(true);
+  for (int i = 201; i < 10000; ++i) {
+    if (!p.push(i)) break;
+  }
+  EXPECT_THROW((void)p.wait(), std::runtime_error);
+  expect_conserved(p.source_stats());
+  const PipelineStats ps = p.stats();
+  ASSERT_EQ(ps.stages.size(), 3u);
+  for (const StageStats& st : ps.stages) {
+    SCOPED_TRACE(st.name);
+    expect_conserved(st.input);
+  }
+  EXPECT_GT(ps.stages[0].input.popped, 101u)
+      << "the batch holding element 100 was taken whole";
+}
+
 TEST(FlowPipeline, RandomizedMultiStagePipelineMatchesSequentialOracle) {
   std::mt19937 rng(20260808u);
   for (int round = 0; round < 12; ++round) {
@@ -871,6 +1036,101 @@ TEST(FlowTrace, ChannelEventsBalanceAndReplayBuildsDag) {
   const sim::SimOutcome outcome = sim::simulate(replay.dag, sim::parc_8core());
   EXPECT_GT(outcome.makespan_s, 0.0);
   EXPECT_GT(outcome.speedup, 0.0);
+}
+
+TEST(FlowTrace, BatchedPipelineHasOnePopPerPush) {
+  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
+  constexpr std::size_t kItems = 1000;
+  obs::TraceSession session;
+  {
+    auto p = pipeline<int>(PipelineOptions{.capacity = 1024,
+                                           .single_producer = true})
+                 .then(stage([](int x) { return x * 2; }))
+                 .then(stage([](int x) { return x + 1; }))
+                 .collect();
+    std::vector<int> in(kItems);
+    std::iota(in.begin(), in.end(), 0);
+    ASSERT_EQ(p.push_n(std::span<int>(in)), kItems);
+    ASSERT_EQ(p.wait().size(), kItems);
+  }
+  const obs::TraceDump dump = session.end();
+  ASSERT_EQ(dump.total_dropped(), 0u);
+  EXPECT_EQ(dump.count_kind(obs::EventKind::kChanPush), kItems * 3);
+  EXPECT_EQ(dump.count_kind(obs::EventKind::kChanPop), kItems * 3)
+      << "a batch emits one kChanPop per element";
+}
+
+// ---------------------------------------------------------------------------
+// The channel's asymmetric barrier pair.
+// ---------------------------------------------------------------------------
+
+/// Store-buffering litmus, about 2 s: side A does x = 1; light; r1 = y and
+/// side B does y = 1; heavy; r2 = x. With a working pair at least one side
+/// sees the other's store, so r1 == r2 == 0 never happens. Both sides leave
+/// one shared start word each round and wait a random few relax rounds
+/// first, so their stores and loads overlap.
+TEST(AsymmetricBarrier, StoreBufferingLitmus) {
+  const bool expedited = asymmetric_barrier_expedited();
+  if (kTsanBuild && !expedited) {
+    GTEST_SKIP() << "no membarrier, and TSan does not compile fences";
+  }
+  constexpr std::uint64_t kStop = ~std::uint64_t{0};
+  std::atomic<int> x{0};
+  std::atomic<int> y{0};
+  std::atomic<std::uint64_t> start{0};
+  std::atomic<int> finished{0};
+  std::atomic<int> r1{-1};
+  std::atomic<int> r2{-1};
+  const auto side = [&](bool heavy, unsigned seed) {
+    std::minstd_rand rng(seed);
+    for (std::uint64_t round = 1;; ++round) {
+      std::uint64_t s;
+      for (int spins = 0; (s = start.load(std::memory_order_acquire)) < round;
+           ++spins) {
+        ExponentialBackoff::cpu_relax();
+        if (spins % 1024 == 1023) std::this_thread::yield();
+      }
+      if (s == kStop) return;
+      for (auto d = rng() % 8; d > 0; --d) ExponentialBackoff::cpu_relax();
+      if (heavy) {
+        y.store(1, std::memory_order_relaxed);
+        heavy_barrier(expedited);
+        r2.store(x.load(std::memory_order_relaxed), std::memory_order_relaxed);
+      } else {
+        x.store(1, std::memory_order_relaxed);
+        light_barrier(expedited);
+        r1.store(y.load(std::memory_order_relaxed), std::memory_order_relaxed);
+      }
+      finished.fetch_add(1, std::memory_order_release);
+    }
+  };
+  std::thread a(side, false, 1u);
+  std::thread b(side, true, 2u);
+  std::uint64_t rounds = 0;
+  std::uint64_t both_zero = 0;
+  const Stopwatch clock;
+  while (clock.elapsed_s() < 2.0) {
+    x.store(0, std::memory_order_relaxed);
+    y.store(0, std::memory_order_relaxed);
+    start.store(++rounds, std::memory_order_release);
+    for (int spins = 0;
+         finished.load(std::memory_order_acquire) != static_cast<int>(2 * rounds);
+         ++spins) {
+      ExponentialBackoff::cpu_relax();
+      if (spins % 1024 == 1023) std::this_thread::yield();
+    }
+    if (r1.load(std::memory_order_relaxed) == 0 &&
+        r2.load(std::memory_order_relaxed) == 0) {
+      ++both_zero;
+    }
+  }
+  start.store(kStop, std::memory_order_release);
+  a.join();
+  b.join();
+  EXPECT_EQ(both_zero, 0u) << "r1 == r2 == 0 in " << both_zero << " of "
+                           << rounds << " rounds (expedited=" << expedited
+                           << ")";
+  EXPECT_GT(rounds, 1000u);
 }
 
 }  // namespace
