@@ -50,6 +50,25 @@ static void BM_ResizeOneImage(benchmark::State& state) {
 }
 BENCHMARK(BM_ResizeOneImage);
 
+// The render and box-filter kernels behind serve's img backend (a 16 x 16
+// source box-filtered to 8 x 8 in the serving benchmark), each its own row.
+static void BM_GenerateImage(benchmark::State& state) {
+  const auto side = static_cast<std::uint32_t>(state.range(0));
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(img::generate_image(side, side, ++seed));
+  }
+}
+BENCHMARK(BM_GenerateImage)->Arg(16)->Arg(512);
+
+static void BM_ResizeBox16to8(benchmark::State& state) {
+  const auto src = img::generate_image(16, 16, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(img::resize(src, 8, 8, img::Filter::kBox));
+  }
+}
+BENCHMARK(BM_ResizeBox16to8);
+
 int main(int argc, char** argv) {
   ptask::Runtime runtime(ptask::Runtime::Config{4, {}});
 

@@ -1,6 +1,7 @@
 #include "img/image.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "support/check.hpp"
@@ -42,28 +43,71 @@ std::string to_string(Filter f) {
 
 namespace {
 
-/// Smooth value noise: hash lattice points, interpolate with smoothstep.
-double value_noise(std::uint64_t seed, double x, double y) {
-  auto lattice = [&](std::int64_t ix, std::int64_t iy) {
-    SplitMix64 sm(seed ^ (static_cast<std::uint64_t>(ix) * 0x9E3779B97F4A7C15ULL) ^
-                  (static_cast<std::uint64_t>(iy) << 32));
-    return static_cast<double>(sm.next() >> 11) * 0x1.0p-53;
-  };
-  const auto x0 = static_cast<std::int64_t>(std::floor(x));
-  const auto y0 = static_cast<std::int64_t>(std::floor(y));
-  const double fx = x - static_cast<double>(x0);
-  const double fy = y - static_cast<double>(y0);
-  auto smooth = [](double t) { return t * t * (3.0 - 2.0 * t); };
-  const double sx = smooth(fx);
-  const double sy = smooth(fy);
-  const double v00 = lattice(x0, y0);
-  const double v10 = lattice(x0 + 1, y0);
-  const double v01 = lattice(x0, y0 + 1);
-  const double v11 = lattice(x0 + 1, y0 + 1);
-  const double a = v00 + (v10 - v00) * sx;
-  const double b = v01 + (v11 - v01) * sx;
-  return a + (b - a) * sy;
+/// Value noise (smoothstep-interpolated hashed lattice) sampled on the
+/// pixel grid. A pixel at (x, y) reads the lattice cell (x0, y0) with
+/// weights (sx, sy), where x0 = floor(u * freq), sx = smoothstep of the
+/// fraction, u = x / width; likewise for y. Both depend on one axis only,
+/// so they are computed once per column and once per row, and each lattice
+/// point is hashed once into `values` instead of four times per pixel.
+struct Axis {
+  std::int64_t i0;
+  double s;
+};
+
+Axis axis_at(double coord) {
+  const auto i0 = static_cast<std::int64_t>(std::floor(coord));
+  const double t = coord - static_cast<double>(i0);
+  return {i0, t * t * (3.0 - 2.0 * t)};
 }
+
+double lattice_value(std::uint64_t seed, std::int64_t ix, std::int64_t iy) {
+  SplitMix64 sm(seed ^ (static_cast<std::uint64_t>(ix) * 0x9E3779B97F4A7C15ULL) ^
+                (static_cast<std::uint64_t>(iy) << 32));
+  return static_cast<double>(sm.next() >> 11) * 0x1.0p-53;
+}
+
+struct Octave {
+  std::uint64_t seed;
+  double freq;
+};
+
+// n1, n2, n3 of a pixel, in the order the colour formula reads them.
+constexpr std::array<Octave, 3> kOctaves = {{{0, 8.0}, {0xABCD, 16.0},
+                                              {0x1234, 4.0}}};
+// Room for x0 and y0 up to the highest frequency (16) plus the +1 corner.
+// u and v are below 1, so x0 and y0 stay below freq; fill() checks anyway.
+constexpr std::size_t kLatticeSide = 16 + 2;
+constexpr std::size_t kColumnsPerPass = 64;
+
+struct Lattice {
+  // Only the first ny rows of `stride` points are written, by fill(), and
+  // only they are read; the rest stays unset so a call clears no memory.
+  std::array<double, kLatticeSide * kLatticeSide> values;
+  std::size_t stride = 0;
+
+  void fill(std::uint64_t seed, std::int64_t last_x0, std::int64_t last_y0) {
+    const auto nx = static_cast<std::size_t>(last_x0) + 2;
+    const auto ny = static_cast<std::size_t>(last_y0) + 2;
+    PARC_CHECK(nx <= kLatticeSide && ny <= kLatticeSide);
+    stride = nx;
+    for (std::size_t iy = 0; iy < ny; ++iy) {
+      for (std::size_t ix = 0; ix < nx; ++ix) {
+        values[iy * nx + ix] = lattice_value(
+            seed, static_cast<std::int64_t>(ix), static_cast<std::int64_t>(iy));
+      }
+    }
+  }
+
+  /// The same lerps, in the same order, as per-pixel value noise.
+  [[nodiscard]] double sample(Axis col, Axis row) const {
+    const double* top = &values[static_cast<std::size_t>(row.i0) * stride +
+                                static_cast<std::size_t>(col.i0)];
+    const double* bottom = top + stride;
+    const double a = top[0] + (top[1] - top[0]) * col.s;
+    const double b = bottom[0] + (bottom[1] - bottom[0]) * col.s;
+    return a + (b - a) * row.s;
+  }
+};
 
 std::uint8_t to_byte(double v) {
   return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
@@ -77,20 +121,50 @@ Image generate_image(std::uint32_t width, std::uint32_t height,
   Image img(width, height);
   const double inv_w = 1.0 / static_cast<double>(width);
   const double inv_h = 1.0 / static_cast<double>(height);
-  for (std::uint32_t y = 0; y < height; ++y) {
-    for (std::uint32_t x = 0; x < width; ++x) {
-      const double u = static_cast<double>(x) * inv_w;
+  // x0 and y0 grow with x and y, so the last column and row bound the
+  // lattice each octave reads.
+  const double u_last = static_cast<double>(width - 1) * inv_w;
+  const double v_last = static_cast<double>(height - 1) * inv_h;
+  std::array<Lattice, kOctaves.size()> lattices;
+  for (std::size_t o = 0; o < kOctaves.size(); ++o) {
+    lattices[o].fill(seed ^ kOctaves[o].seed,
+                     axis_at(u_last * kOctaves[o].freq).i0,
+                     axis_at(v_last * kOctaves[o].freq).i0);
+  }
+  // Column axes go into fixed scratch (written before it is read), a pass
+  // of columns at a time; a pass recomputes the (three per row) row axes.
+  std::array<double, kColumnsPerPass> us;
+  std::array<std::array<Axis, kColumnsPerPass>, kOctaves.size()> cols;
+  for (std::uint32_t x_begin = 0; x_begin < width;
+       x_begin += static_cast<std::uint32_t>(kColumnsPerPass)) {
+    const std::uint32_t n = std::min<std::uint32_t>(
+        width - x_begin, static_cast<std::uint32_t>(kColumnsPerPass));
+    for (std::uint32_t i = 0; i < n; ++i) {
+      us[i] = static_cast<double>(x_begin + i) * inv_w;
+      for (std::size_t o = 0; o < kOctaves.size(); ++o) {
+        cols[o][i] = axis_at(us[i] * kOctaves[o].freq);
+      }
+    }
+    for (std::uint32_t y = 0; y < height; ++y) {
       const double v = static_cast<double>(y) * inv_h;
-      // Three octaves of value noise per channel + a base gradient.
-      const double n1 = value_noise(seed, u * 8, v * 8);
-      const double n2 = value_noise(seed ^ 0xABCD, u * 16, v * 16);
-      const double n3 = value_noise(seed ^ 0x1234, u * 4, v * 4);
-      img.at(x, y) = Pixel{
-          to_byte(255.0 * (0.5 * n1 + 0.3 * n2 + 0.2 * u)),
-          to_byte(255.0 * (0.6 * n3 + 0.4 * v)),
-          to_byte(255.0 * (0.4 * n1 + 0.3 * n3 + 0.3 * (1.0 - u))),
-          255,
-      };
+      std::array<Axis, kOctaves.size()> rows{};
+      for (std::size_t o = 0; o < kOctaves.size(); ++o) {
+        rows[o] = axis_at(v * kOctaves[o].freq);
+      }
+      Pixel* out = &img.at(x_begin, y);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const double u = us[i];
+        // Three octaves of value noise per channel + a base gradient.
+        const double n1 = lattices[0].sample(cols[0][i], rows[0]);
+        const double n2 = lattices[1].sample(cols[1][i], rows[1]);
+        const double n3 = lattices[2].sample(cols[2][i], rows[2]);
+        out[i] = Pixel{
+            to_byte(255.0 * (0.5 * n1 + 0.3 * n2 + 0.2 * u)),
+            to_byte(255.0 * (0.6 * n3 + 0.4 * v)),
+            to_byte(255.0 * (0.4 * n1 + 0.3 * n3 + 0.3 * (1.0 - u))),
+            255,
+        };
+      }
     }
   }
   return img;
@@ -110,8 +184,9 @@ Image resize_box(const Image& src, std::uint32_t dw, std::uint32_t dh) {
       const auto x0 = static_cast<std::uint32_t>(x * sx);
       const auto x1 = std::min(static_cast<std::uint32_t>((x + 1) * sx) + 1,
                                src.width());
-      double r = 0, g = 0, b = 0, a = 0;
-      int count = 0;
+      // Integer sums of bytes are exact, as double sums were: one
+      // conversion per channel gives the same bytes.
+      std::uint64_t r = 0, g = 0, b = 0, a = 0;
       for (std::uint32_t yy = y0; yy < y1; ++yy) {
         for (std::uint32_t xx = x0; xx < x1; ++xx) {
           const Pixel& p = src.at(xx, yy);
@@ -119,12 +194,15 @@ Image resize_box(const Image& src, std::uint32_t dw, std::uint32_t dh) {
           g += p.g;
           b += p.b;
           a += p.a;
-          ++count;
         }
       }
-      const double inv = count > 0 ? 1.0 / count : 0.0;
-      dst.at(x, y) = Pixel{to_byte(r * inv), to_byte(g * inv), to_byte(b * inv),
-                           to_byte(a * inv)};
+      const std::uint64_t count =
+          static_cast<std::uint64_t>(y1 - y0) * (x1 - x0);
+      const double inv = count > 0 ? 1.0 / static_cast<double>(count) : 0.0;
+      auto mean = [inv](std::uint64_t sum) {
+        return to_byte(static_cast<double>(sum) * inv);
+      };
+      dst.at(x, y) = Pixel{mean(r), mean(g), mean(b), mean(a)};
     }
   }
   return dst;

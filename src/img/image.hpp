@@ -60,6 +60,11 @@ enum class Filter { kBox, kBilinear, kBicubic };
 [[nodiscard]] std::string to_string(Filter f);
 
 /// Procedural "photo": layered value-noise gradients, deterministic in seed.
+/// Three octaves (lattice frequency 8, 16 and 4 across the image). Each
+/// lattice point is hashed once per call into a fixed per-octave table, and
+/// each pixel does three 4-point lerps from it; the bytes are identical to
+/// hashing the four corners per pixel (per-pixel value noise). Allocates
+/// nothing beyond the returned Image.
 [[nodiscard]] Image generate_image(std::uint32_t width, std::uint32_t height,
                                    std::uint64_t seed);
 

@@ -27,6 +27,14 @@ DemoResult lost_update_demo(Sync sync, std::uint64_t increments,
   std::atomic<std::uint64_t> counter{0};
   std::mutex mutex;
   std::atomic<unsigned> started{0};
+  std::atomic<unsigned> loaded{0};
+  // Returns once all `threads` have arrived at `gate`.
+  auto rendezvous = [threads](std::atomic<unsigned>& gate) {
+    gate.fetch_add(1, std::memory_order_acq_rel);
+    while (gate.load(std::memory_order_acquire) < threads) {
+      std::this_thread::yield();
+    }
+  };
 
   Stopwatch sw;
   {
@@ -35,17 +43,22 @@ DemoResult lost_update_demo(Sync sync, std::uint64_t increments,
     for (unsigned t = 0; t < threads; ++t) {
       workers.emplace_back([&] {
         // Start gate: all threads overlap even with slow thread creation.
-        started.fetch_add(1, std::memory_order_acq_rel);
-        while (started.load(std::memory_order_acquire) < threads) {
-          std::this_thread::yield();
-        }
+        rendezvous(started);
         for (std::uint64_t i = 0; i < increments; ++i) {
           switch (sync) {
             case Sync::kUnsynchronised: {
               // The bug in slow motion: load, (maybe lose the CPU), store.
+              // The first increment waits between its load and its store
+              // until every thread has loaded, so all of them store 1 and
+              // at least threads - 1 updates are lost on any host, whether
+              // or not the threads happen to overlap later.
               const std::uint64_t v =
                   counter.load(std::memory_order_relaxed);
-              if ((i & 0x3F) == 0) std::this_thread::yield();
+              if (i == 0) {
+                rendezvous(loaded);
+              } else if ((i & 0x3F) == 0) {
+                std::this_thread::yield();
+              }
               counter.store(v + 1, std::memory_order_relaxed);
               break;
             }

@@ -51,8 +51,9 @@ struct DemoResult {
 
 /// Lost update: `threads` threads each add 1 to a shared counter
 /// `increments` times with a split load→store. Anomalies = missing counts.
-/// Fixes: kAtomicRmw (fetch_add), kMutex. kUnsynchronised loses updates on
-/// every machine.
+/// Fixes: kAtomicRmw (fetch_add), kMutex. kUnsynchronised loses at least
+/// `threads - 1` updates on every machine: each thread's first increment
+/// waits between its load and its store until all threads have loaded.
 [[nodiscard]] DemoResult lost_update_demo(Sync sync, std::uint64_t increments,
                                           unsigned threads);
 

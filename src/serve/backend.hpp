@@ -2,7 +2,9 @@
 //
 //  - img: render a thumbnail — generate the procedural "photo" named by the
 //    key and box-filter it down, returning the content hash (the cacheable
-//    result a real image service would store).
+//    result a real image service would store). The render hashes each noise
+//    lattice point once per image, not four times per pixel per octave; its
+//    output is bit-identical to per-pixel value noise.
 //  - text: search — scan the corpus chunk named by the key for a
 //    key-derived needle (BMH literal search), returning the match count.
 //  - net: web fetch — check a connection out of a keep-alive pool keyed by

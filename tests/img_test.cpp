@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <sstream>
 #include <tuple>
+#include <vector>
+
+#include "support/rng.hpp"
 
 namespace parc::img {
 namespace {
@@ -82,6 +88,150 @@ INSTANTIATE_TEST_SUITE_P(AllFilters, ResizeFilterTest,
                          [](const ::testing::TestParamInfo<Filter>& info) {
                            return to_string(info.param);
                          });
+
+// Oracles: the straightforward per-pixel value-noise render and the
+// double-accumulating box filter. The library's lattice-table render and
+// integer box sums must reproduce them byte for byte, so thumbnails and the
+// serve backend's cached content hashes never change with the kernel.
+namespace oracle {
+
+double value_noise(std::uint64_t seed, double x, double y) {
+  auto lattice = [&](std::int64_t ix, std::int64_t iy) {
+    SplitMix64 sm(seed ^ (static_cast<std::uint64_t>(ix) * 0x9E3779B97F4A7C15ULL) ^
+                  (static_cast<std::uint64_t>(iy) << 32));
+    return static_cast<double>(sm.next() >> 11) * 0x1.0p-53;
+  };
+  const auto x0 = static_cast<std::int64_t>(std::floor(x));
+  const auto y0 = static_cast<std::int64_t>(std::floor(y));
+  const double fx = x - static_cast<double>(x0);
+  const double fy = y - static_cast<double>(y0);
+  auto smooth = [](double t) { return t * t * (3.0 - 2.0 * t); };
+  const double sx = smooth(fx);
+  const double sy = smooth(fy);
+  const double v00 = lattice(x0, y0);
+  const double v10 = lattice(x0 + 1, y0);
+  const double v01 = lattice(x0, y0 + 1);
+  const double v11 = lattice(x0 + 1, y0 + 1);
+  const double a = v00 + (v10 - v00) * sx;
+  const double b = v01 + (v11 - v01) * sx;
+  return a + (b - a) * sy;
+}
+
+std::uint8_t to_byte(double v) {
+  return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
+}
+
+Image generate_image(std::uint32_t width, std::uint32_t height,
+                     std::uint64_t seed) {
+  Image img(width, height);
+  const double inv_w = 1.0 / static_cast<double>(width);
+  const double inv_h = 1.0 / static_cast<double>(height);
+  for (std::uint32_t y = 0; y < height; ++y) {
+    for (std::uint32_t x = 0; x < width; ++x) {
+      const double u = static_cast<double>(x) * inv_w;
+      const double v = static_cast<double>(y) * inv_h;
+      const double n1 = value_noise(seed, u * 8, v * 8);
+      const double n2 = value_noise(seed ^ 0xABCD, u * 16, v * 16);
+      const double n3 = value_noise(seed ^ 0x1234, u * 4, v * 4);
+      img.at(x, y) = Pixel{
+          to_byte(255.0 * (0.5 * n1 + 0.3 * n2 + 0.2 * u)),
+          to_byte(255.0 * (0.6 * n3 + 0.4 * v)),
+          to_byte(255.0 * (0.4 * n1 + 0.3 * n3 + 0.3 * (1.0 - u))),
+          255,
+      };
+    }
+  }
+  return img;
+}
+
+Image resize_box(const Image& src, std::uint32_t dw, std::uint32_t dh) {
+  Image dst(dw, dh);
+  const double sx = static_cast<double>(src.width()) / dw;
+  const double sy = static_cast<double>(src.height()) / dh;
+  for (std::uint32_t y = 0; y < dh; ++y) {
+    const auto y0 = static_cast<std::uint32_t>(y * sy);
+    const auto y1 = std::min(static_cast<std::uint32_t>((y + 1) * sy) + 1,
+                             src.height());
+    for (std::uint32_t x = 0; x < dw; ++x) {
+      const auto x0 = static_cast<std::uint32_t>(x * sx);
+      const auto x1 = std::min(static_cast<std::uint32_t>((x + 1) * sx) + 1,
+                               src.width());
+      double r = 0, g = 0, b = 0, a = 0;
+      int count = 0;
+      for (std::uint32_t yy = y0; yy < y1; ++yy) {
+        for (std::uint32_t xx = x0; xx < x1; ++xx) {
+          const Pixel& p = src.at(xx, yy);
+          r += p.r;
+          g += p.g;
+          b += p.b;
+          a += p.a;
+          ++count;
+        }
+      }
+      const double inv = count > 0 ? 1.0 / count : 0.0;
+      dst.at(x, y) = Pixel{to_byte(r * inv), to_byte(g * inv), to_byte(b * inv),
+                           to_byte(a * inv)};
+    }
+  }
+  return dst;
+}
+
+}  // namespace oracle
+
+/// Index of the first differing pixel, or -1 when the images are equal.
+std::int64_t first_mismatch(const Image& got, const Image& want) {
+  if (got.width() != want.width() || got.height() != want.height()) return 0;
+  const auto& g = got.pixels();
+  const auto& w = want.pixels();
+  const auto it = std::mismatch(g.begin(), g.end(), w.begin()).first;
+  return it == g.end() ? -1 : it - g.begin();
+}
+
+TEST(ImageParity, RenderMatchesPerPixelValueNoise) {
+  std::vector<std::tuple<std::uint32_t, std::uint32_t>> sizes = {
+      {1, 1}, {1, 2}, {2, 1}, {1, 300}, {300, 1}, {1, 97}, {97, 1},
+      {2, 2}, {3, 5}, {7, 3}, {8, 8}, {12, 12}, {16, 16}, {17, 15}, {24, 24},
+      {63, 64}, {64, 65}, {129, 7}, {5, 257}, {300, 300}, {299, 131}};
+  Rng rng(20260);
+  for (int i = 0; i < 60; ++i) {
+    sizes.emplace_back(static_cast<std::uint32_t>(rng.range(1, 300)),
+                       static_cast<std::uint32_t>(rng.range(1, 300)));
+  }
+  for (const auto& [w, h] : sizes) {
+    for (int s = 0; s < 3; ++s) {
+      const std::uint64_t seed = rng.bits();
+      const std::int64_t at =
+          first_mismatch(generate_image(w, h, seed),
+                         oracle::generate_image(w, h, seed));
+      ASSERT_EQ(at, -1) << w << "x" << h << " seed " << seed;
+    }
+  }
+}
+
+TEST(ImageParity, BoxResizeMatchesDoubleAccumulation) {
+  // The serve backend's shapes (16 -> 8 in the benchmark, 24 -> 8 by
+  // default, 12 -> 4 and 8 -> 4 in tests), then random scales: half down
+  // (to at most the source side), half up (to at most twice it).
+  std::vector<std::array<std::uint32_t, 4>> cases = {
+      {16, 16, 8, 8}, {24, 24, 8, 8}, {12, 12, 4, 4}, {8, 8, 4, 4}};
+  Rng rng(4242);
+  for (int i = 0; i < 100; ++i) {
+    const auto sw = static_cast<std::uint32_t>(rng.range(1, 300));
+    const auto sh = static_cast<std::uint32_t>(rng.range(1, 300));
+    const std::int64_t scale = (i & 1) != 0 ? 2 : 1;
+    const auto dw = static_cast<std::uint32_t>(rng.range(1, scale * sw));
+    const auto dh = static_cast<std::uint32_t>(rng.range(1, scale * sh));
+    cases.push_back({sw, sh, dw, dh});
+  }
+  for (const auto& [sw, sh, dw, dh] : cases) {
+    for (int s = 0; s < 3; ++s) {
+      const Image src = generate_image(sw, sh, rng.bits());
+      const std::int64_t at = first_mismatch(resize(src, dw, dh, Filter::kBox),
+                                             oracle::resize_box(src, dw, dh));
+      ASSERT_EQ(at, -1) << sw << "x" << sh << " -> " << dw << "x" << dh;
+    }
+  }
+}
 
 TEST(FitWithin, PreservesAspect) {
   const auto landscape = fit_within(400, 200, 100);

@@ -10,9 +10,10 @@ namespace {
 TEST(LostUpdate, UnsynchronisedLosesUpdates) {
   const auto r = lost_update_demo(Sync::kUnsynchronised, 20000, 4);
   EXPECT_EQ(r.trials, 80000u);
-  // The split load/store with yields loses updates on any machine,
-  // including single-core (preemption in the window).
-  EXPECT_GT(r.anomalies, 0u);
+  // Every thread's first increment loads before any thread stores, so all
+  // four store 1: at least three updates are lost on any machine,
+  // single-core included.
+  EXPECT_GE(r.anomalies, 3u);
 }
 
 TEST(LostUpdate, AtomicRmwIsExact) {

@@ -133,6 +133,39 @@ TEST(Backend, DeterministicPerKey) {
   }
 }
 
+TEST(Backend, ImgValuesArePinned) {
+  // Thumbnail content hashes are cached results: a faster render must
+  // return exactly these (computed with per-pixel value noise and a
+  // double-accumulating box filter), or cached values would change meaning.
+  BackendConfig default_cfg;  // 24 x 24 -> 8 x 8, seed 42
+  BackendConfig bench_cfg;    // the serving benchmark's 16 x 16 -> 8 x 8
+  bench_cfg.img_source_dim = 16;
+  bench_cfg.img_thumb_dim = 8;
+  bench_cfg.seed = 81;
+  Backend by_default(default_cfg);
+  Backend by_bench(bench_cfg);
+  struct Pin {
+    std::uint64_t key;
+    std::uint64_t default_value;
+    std::uint64_t bench_value;
+  };
+  for (const Pin& pin : {
+           Pin{0, 0xeafa5f688231c0d8ULL, 0x0b7675606518fe70ULL},
+           Pin{1, 0xce60d6a171119b55ULL, 0xc6a97222118ea02bULL},
+           Pin{7, 0x3477a0da7481b21aULL, 0x571d7f9e7bd17539ULL},
+           Pin{12345, 0xd33c0c3fad3e6b6cULL, 0x938fcafe3378259dULL},
+           Pin{0xDEADBEEF, 0xaf5ca7194d6fd357ULL, 0x43e0c93a0f462844ULL},
+           Pin{1ULL << 40, 0xa7ba5d2b8ff0315bULL, 0xe7fee8f75abb922dULL},
+       }) {
+    const BackendResult d = by_default.execute(RequestKind::img, pin.key);
+    const BackendResult b = by_bench.execute(RequestKind::img, pin.key);
+    ASSERT_TRUE(d.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(d.value, pin.default_value) << "key " << pin.key;
+    EXPECT_EQ(b.value, pin.bench_value) << "key " << pin.key;
+  }
+}
+
 ServerConfig small_server() {
   ServerConfig cfg;
   cfg.pool.num_threads = 2;
